@@ -1,6 +1,7 @@
 package netdimm
 
 import (
+	"fmt"
 	"time"
 
 	"netdimm/internal/experiments"
@@ -17,16 +18,12 @@ type BandwidthResult struct {
 	Sustained       bool
 }
 
-// RunBandwidth streams MTU frames at 40GbE line rate through each
-// architecture and reports whether it sustains the offered rate (paper
-// Sec. 5.2: all three do; the NetDIMM's single local channel has ample
-// headroom). parallelism follows the convention of RunFig4.
-func RunBandwidth(packets int, parallelism int) ([]BandwidthResult, error) {
-	return RunBandwidthWithConfig(DefaultConfig(), packets, parallelism)
-}
-
-// RunBandwidthWithConfig is RunBandwidth on the system described by cfg
-// (its link rate and local-channel bandwidth).
+// RunBandwidthWithConfig streams MTU frames at line rate through each
+// architecture on the system described by cfg (its link rate and
+// local-channel bandwidth) and reports whether it sustains the offered
+// rate (paper Sec. 5.2: all three do; the NetDIMM's single local channel
+// has ample headroom). parallelism follows the convention of
+// RunFig4WithConfig.
 func RunBandwidthWithConfig(cfg Config, packets int, parallelism int) (_ []BandwidthResult, err error) {
 	defer guard(&err)
 	if err := cfg.Validate(); err != nil {
@@ -59,6 +56,34 @@ type AblationReport struct {
 	HeaderCache []HeaderCacheAblation
 }
 
+// AblationRow is one line of the ablation CSV: the study, the variant it
+// measured, that variant's latency and, for studies that have one, its
+// rate (hit rate or FPM rate).
+type AblationRow struct {
+	Section string        `csv:"section"`
+	Variant string        `csv:"variant"`
+	Latency time.Duration `csv:"latency_ns"`
+	Rate    *float64      `csv:"rate" fmt:"%.4f"`
+}
+
+// rows flattens the report into its CSV rows.
+func (rep AblationReport) rows() []AblationRow {
+	var out []AblationRow
+	for _, r := range rep.Prefetch {
+		out = append(out, AblationRow{"prefetch", fmt.Sprintf("degree-%d", r.Degree), r.MeanReadLat, &r.HitRate})
+	}
+	for _, r := range rep.Clone {
+		out = append(out, AblationRow{"clone", r.Strategy, r.PerClone, nil})
+	}
+	for _, r := range rep.Alloc {
+		out = append(out, AblationRow{"alloc", r.Strategy, r.PerAlloc, &r.FPMRate})
+	}
+	for _, r := range rep.HeaderCache {
+		out = append(out, AblationRow{"headercache", r.Strategy, r.HeaderRead, &r.HitRate})
+	}
+	return out
+}
+
 // PrefetchAblation is payload-read behaviour at one nPrefetcher degree.
 type PrefetchAblation struct {
 	Degree      int
@@ -86,14 +111,10 @@ type HeaderCacheAblation struct {
 	HitRate    float64
 }
 
-// RunAblations runs all four ablation studies. parallelism follows the
-// convention of RunFig4; the clone and alloc studies are inherently
-// sequential and ignore it.
-func RunAblations(parallelism int) (AblationReport, error) {
-	return RunAblationsWithConfig(DefaultConfig(), parallelism)
-}
-
-// RunAblationsWithConfig is RunAblations on the system described by cfg.
+// RunAblationsWithConfig runs all four ablation studies on the system
+// described by cfg. parallelism follows the convention of
+// RunFig4WithConfig; the clone and alloc studies are inherently sequential
+// and ignore it.
 func RunAblationsWithConfig(cfg Config, parallelism int) (_ AblationReport, err error) {
 	defer guard(&err)
 	var rep AblationReport

@@ -29,7 +29,7 @@ func BenchmarkTable1(b *testing.B) {
 func BenchmarkFig4(b *testing.B) {
 	var rows []Fig4Result
 	for i := 0; i < b.N; i++ {
-		rows = RunFig4([]int{10, 60, 200, 500, 1000, 2000}, 100*time.Nanosecond, 1)
+		rows = must[[]Fig4Result](b)(RunFig4WithConfig(DefaultConfig(), []int{10, 60, 200, 500, 1000, 2000}, 100*time.Nanosecond, 1))
 	}
 	last := rows[len(rows)-1]
 	b.ReportMetric(float64(last.DNIC.Nanoseconds()), "dNIC-2000B-ns")
@@ -41,7 +41,7 @@ func BenchmarkFig4(b *testing.B) {
 func BenchmarkFig5(b *testing.B) {
 	var rows []Fig5Result
 	for i := 0; i < b.N; i++ {
-		rows = RunFig5([]time.Duration{time.Second, 500 * time.Nanosecond, 5 * time.Nanosecond}, 1)
+		rows = must[[]Fig5Result](b)(RunFig5WithConfig(DefaultConfig(), []time.Duration{time.Second, 500 * time.Nanosecond, 5 * time.Nanosecond}, 1))
 	}
 	base := rows[0].BandwidthGbps
 	worst := rows[len(rows)-1].BandwidthGbps
@@ -54,7 +54,7 @@ func BenchmarkFig5(b *testing.B) {
 func BenchmarkFig7(b *testing.B) {
 	var pts []Fig7Result
 	for i := 0; i < b.N; i++ {
-		pts = RunFig7()
+		pts = must[[]Fig7Result](b)(RunFig7WithConfig(DefaultConfig()))
 	}
 	if len(pts) == 0 {
 		b.Fatal("empty Fig7 trace")
@@ -84,7 +84,7 @@ func BenchmarkFig11(b *testing.B) {
 	var rows []Fig11Result
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = RunFig11([]int{64, 256, 1024, 1514}, 100*time.Nanosecond, 1)
+		rows, err = RunFig11WithConfig(DefaultConfig(), []int{64, 256, 1024, 1514}, 100*time.Nanosecond, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -109,7 +109,7 @@ func benchmarkFig12a(b *testing.B, parallelism int) {
 	var rows []Fig12aResult
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = RunFig12a(200, 3, parallelism)
+		rows, err = RunFig12aWithConfig(DefaultConfig(), 200, 3, parallelism)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -132,7 +132,7 @@ func benchmarkFig12a(b *testing.B, parallelism int) {
 func BenchmarkFig12b(b *testing.B) {
 	var rows []Fig12bResult
 	for i := 0; i < b.N; i++ {
-		rows = RunFig12b(1)
+		rows = must[[]Fig12bResult](b)(RunFig12bWithConfig(DefaultConfig(), 1))
 	}
 	var dpiWorst, l3fBest float64
 	for _, r := range rows {
@@ -152,7 +152,7 @@ func BenchmarkHeadline(b *testing.B) {
 	var h HeadlineResult
 	for i := 0; i < b.N; i++ {
 		var err error
-		h, err = RunHeadline(100, 1)
+		h, err = RunHeadlineWithConfig(DefaultConfig(), 100, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -164,17 +164,10 @@ func BenchmarkHeadline(b *testing.B) {
 // BenchmarkOneWayPacket measures the simulator's own throughput on the
 // core single-packet path (not a paper figure; a harness health metric).
 func BenchmarkOneWayPacket(b *testing.B) {
-	tx, err := NewNetDIMM(1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rx, err := NewNetDIMM(2)
-	if err != nil {
-		b.Fatal(err)
-	}
+	tx, rx := testNetDIMM(b, 1), testNetDIMM(b, 2)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := OneWayLatency(tx, rx, 1514, 100*time.Nanosecond); err != nil {
+		if _, err := OneWayLatencyWithConfig(DefaultConfig(), tx, rx, 1514, 100*time.Nanosecond); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -17,9 +17,9 @@ func tinyGrid() campaign.Grid {
 		Name: "tiny",
 		Seed: 3,
 		Experiments: []campaign.Experiment{
-			{Experiment: "fig4", Sizes: []int{64, 1514}},
-			{Experiment: "fig11", Sizes: []int{64}, Metrics: true},
-			{Experiment: "faultsweep", Packets: 40, Rates: []float64{0, 0.01}, Trace: true},
+			{Experiment: "fig4", Axes: Axes{Sizes: []int{64, 1514}}},
+			{Experiment: "fig11", Axes: Axes{Sizes: []int{64}, Metrics: true}},
+			{Experiment: "faultsweep", Axes: Axes{Packets: 40, Rates: []float64{0, 0.01}, Trace: true}},
 		},
 	}
 }
@@ -155,14 +155,60 @@ func TestLoadCampaignGridDefault(t *testing.T) {
 	if g.Name != "campaign-default" || len(g.Experiments) != 9 {
 		t.Fatalf("default grid: name=%q rows=%d", g.Name, len(g.Experiments))
 	}
-	// Every registered family appears exactly once.
+	// Every registered family appears exactly once, except the three
+	// axis-free figures the default grid predates (adding them would
+	// change the pinned plan golden).
+	notInDefault := map[string]bool{"fig5": true, "fig7": true, "fig12b": true}
 	seen := map[string]int{}
 	for _, e := range g.Experiments {
 		seen[e.Experiment]++
 	}
 	for fam := range CampaignSchemas() {
-		if seen[fam] != 1 {
-			t.Errorf("family %s appears %d times in the default grid, want 1", fam, seen[fam])
+		want := 1
+		if notInDefault[fam] {
+			want = 0
 		}
+		if seen[fam] != want {
+			t.Errorf("family %s appears %d times in the default grid, want %d", fam, seen[fam], want)
+		}
+	}
+}
+
+// TestCampaignRejectsUnconsumedAxes pins that a grid row may set only the
+// axes its family declares: a dead axis is a validation error naming the
+// row, the axis and what the family accepts, never a silent default.
+func TestCampaignRejectsUnconsumedAxes(t *testing.T) {
+	cases := []struct {
+		name string
+		row  string
+		want string // substring of the error, "" = valid
+	}{
+		{"fig4 extras", `{"Experiment":"fig4","Sizes":[64],"Racks":[2],"Ranks":[4],"Hosts":8,"Metrics":true}`,
+			"experiments[0] (fig4): fig4 does not consume Racks, Hosts, Ranks, Metrics (it accepts Sizes, SwitchNs)"},
+		{"loadsweep extras", `{"Experiment":"loadsweep","Outages":["10us"],"SwitchNs":50}`,
+			"loadsweep does not consume SwitchNs, Outages (it accepts Packets, Rates, Hosts, Shards, Metrics, Trace)"},
+		{"axis-free family", `{"Experiment":"ablation","Packets":10}`,
+			"ablation does not consume Packets (it accepts no axes)"},
+		{"collsweep hosts", `{"Experiment":"collsweep","Hosts":4}`, "collsweep does not consume Hosts"},
+		{"fig11 trace ok", `{"Experiment":"fig11","Sizes":[64],"SwitchNs":50,"Trace":true,"Metrics":true}`, ""},
+		{"failsweep ok", `{"Experiment":"failsweep","Packets":10,"Outages":["0"],"Hosts":8,"Shards":2}`, ""},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			g, err := campaign.ReadGrid(strings.NewReader(`{"Experiments":[` + tc.row + `]}`))
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = g.Validate(CampaignSchemas())
+			if tc.want == "" {
+				if err != nil {
+					t.Fatalf("want valid, got %v", err)
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("want error containing %q, got %v", tc.want, err)
+			}
+		})
 	}
 }

@@ -88,62 +88,33 @@ func runBench() error {
 	rep.DeterminismOK = true
 
 	n := *packets
-	fmt.Fprintf(os.Stderr, "bench: fig12a (%d packets/cell) ...\n", n)
-	var seqRows, parRows []netdimm.Fig12aResult
-	sb, err := timeSweep("fig12a", 16, func(parallelism int) error {
-		rows, err := netdimm.RunFig12a(n, *seed, parallelism)
-		if parallelism == 1 {
-			seqRows = rows
-		} else {
-			parRows = rows
+	// The widest-fan-out families, each timed sequential vs all cores and
+	// checked for deep-equal output.
+	for _, sw := range []struct {
+		name, family string
+		cells        int
+		axes         netdimm.Axes
+	}{
+		{"fig12a", "fig12a", 16, netdimm.Axes{Packets: n}},
+		{"ablation", "ablation", 7, netdimm.Axes{}},
+		// 256 hosts over a 2-leaf clos.
+		{"racksweep_256h", "racksweep", 6, netdimm.Axes{Packets: n, Racks: []int{2}, Rates: []float64{0.2}}},
+	} {
+		fmt.Fprintf(os.Stderr, "bench: %s (%d packets/cell) ...\n", sw.name, n)
+		fam, _ := netdimm.LookupFamily(sw.family)
+		var runs [2]netdimm.FamilyRun // by parallelism: 0 = all cores, 1 = sequential
+		sb, err := timeSweep(sw.name, sw.cells, func(parallelism int) (err error) {
+			runs[parallelism], err = fam.Run(netdimm.DefaultConfig(), *seed, sw.axes, parallelism)
+			return err
+		})
+		if err != nil {
+			return err
 		}
-		return err
-	})
-	if err != nil {
-		return err
-	}
-	if !reflect.DeepEqual(seqRows, parRows) {
-		rep.DeterminismOK = false
-	}
-	rep.Sweeps = append(rep.Sweeps, sb)
-
-	fmt.Fprintf(os.Stderr, "bench: ablations ...\n")
-	var seqRep, parRep netdimm.AblationReport
-	sb, err = timeSweep("ablation", 7, func(parallelism int) error {
-		r, err := netdimm.RunAblations(parallelism)
-		if parallelism == 1 {
-			seqRep = r
-		} else {
-			parRep = r
+		if !reflect.DeepEqual(runs[0], runs[1]) {
+			rep.DeterminismOK = false
 		}
-		return err
-	})
-	if err != nil {
-		return err
+		rep.Sweeps = append(rep.Sweeps, sb)
 	}
-	if !reflect.DeepEqual(seqRep, parRep) {
-		rep.DeterminismOK = false
-	}
-	rep.Sweeps = append(rep.Sweeps, sb)
-
-	fmt.Fprintf(os.Stderr, "bench: racksweep (256 hosts over a 2-leaf clos, %d packets/cell) ...\n", n)
-	var seqRack, parRack []netdimm.RackSweepResult
-	sb, err = timeSweep("racksweep_256h", 6, func(parallelism int) error {
-		rows, _, err := netdimm.RunRackSweep([]int{2}, []float64{0.2}, n, *seed, parallelism)
-		if parallelism == 1 {
-			seqRack = rows
-		} else {
-			parRack = rows
-		}
-		return err
-	})
-	if err != nil {
-		return err
-	}
-	if !reflect.DeepEqual(seqRack, parRack) {
-		rep.DeterminismOK = false
-	}
-	rep.Sweeps = append(rep.Sweeps, sb)
 
 	fmt.Fprintf(os.Stderr, "bench: sim engine hot path ...\n")
 	rep.Engine = append(rep.Engine,
@@ -206,26 +177,23 @@ func engineResult(name string, fn func(b *testing.B)) engineBench {
 // three runs returned deep-equal results — the bench-time echo of
 // TestLoadSweepShardedDeterminism.
 func benchSharded(packets int) ([]shardBench, bool, error) {
-	cfg := netdimm.DefaultConfig()
-	cfg.Load.Hosts = 32
-	loads := []float64{0.14}
+	fam, _ := netdimm.LookupFamily("loadsweep")
 	var out []shardBench
-	var ref []netdimm.LoadSweepResult
+	var ref netdimm.FamilyRun
 	var base float64
 	identical := true
 	for _, s := range []int{1, 2, 4} {
-		c := cfg
-		c.Load.Shards = s
 		t0 := time.Now()
-		rows, _, err := netdimm.RunLoadSweepWithConfig(c, loads, packets, *seed, 1)
+		run, err := fam.Run(netdimm.DefaultConfig(), *seed,
+			netdimm.Axes{Packets: packets, Rates: []float64{0.14}, Hosts: 32, Shards: s}, 1)
 		if err != nil {
 			return nil, false, err
 		}
 		b := shardBench{Name: "loadsweep_cell", Shards: s, WallMs: ms(time.Since(t0))}
 		if s == 1 {
-			ref = rows
+			ref = run
 			base = b.WallMs
-		} else if !reflect.DeepEqual(rows, ref) {
+		} else if !reflect.DeepEqual(run, ref) {
 			identical = false
 		}
 		if b.WallMs > 0 {

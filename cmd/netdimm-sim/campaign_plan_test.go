@@ -32,12 +32,8 @@ func TestCampaignDefaultPlanGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cells, err := grid.Plan()
-	if err != nil {
-		t.Fatal(err)
-	}
 	var plan []plannedCell
-	for _, c := range cells {
+	for _, c := range grid.Plan() {
 		plan = append(plan, plannedCell{
 			Name: c.Name, Experiment: c.Experiment, Scenario: c.Scenario,
 			Repeat: c.Repeat, Seed: c.Seed,

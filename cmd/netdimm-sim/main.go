@@ -5,16 +5,20 @@
 //
 //	netdimm-sim [flags] <experiment>
 //
-// Experiments: table1, fig4, fig5, fig7, fig11, fig12a, fig12b, faultsweep,
-// loadsweep, racksweep, failsweep, collsweep, headline, all. The -scenario
-// flag selects the simulated system: a named preset (table1, ddr5,
-// pcie-gen3, multi-netdimm-4, lossy-1pct) or a JSON config file.
+// Experiments: table1, fig4, fig5, fig7, fig11, fig12a, fig12b, bandwidth,
+// ablation, mixed, replay, faultsweep, loadsweep, racksweep, failsweep,
+// collsweep, headline, bench, campaign, trajectory, all. Every experiment
+// family of the netdimm registry is a verb here: its axes come from the
+// flags, and -csv prints its registry CSV. The -scenario flag selects the
+// simulated system: a named preset (table1, ddr5, pcie-gen3,
+// multi-netdimm-4, lossy-1pct) or a JSON config file.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -24,25 +28,47 @@ import (
 )
 
 var (
-	packets    = flag.Int("n", 1000, "packets per trace-replay cell (fig12a, headline)")
-	switchLat  = flag.Duration("switch", 100*time.Nanosecond, "switch port-to-port latency (fig4, fig11)")
+	packets    = flag.Int("n", 1000, "packets per cell; racksweep and failsweep keep their own per-cell default unless -n is given")
+	switchLat  = flag.Duration("switch", 100*time.Nanosecond, "switch port-to-port latency (fig4, fig11: a whole number of nanoseconds; replay)")
 	seed       = flag.Uint64("seed", 3, "trace generator seed")
-	asCSV      = flag.Bool("csv", false, "emit plot-ready CSV instead of tables (fig4, fig5, fig7, fig11, fig12a, fig12b)")
+	asCSV      = flag.Bool("csv", false, "emit plot-ready CSV instead of tables")
 	parallel   = flag.Int("parallel", 0, "worker goroutines per sweep: 0 = all cores, 1 = sequential, N = at most N")
 	scenario   = flag.String("scenario", "", "system to simulate: a preset name or a JSON config file (default table1)")
 	lossRates  = flag.String("loss", "", "comma-separated frame-loss rates for faultsweep (default 0,0.001,0.01,0.05,0.1,0.2)")
-	loadRates  = flag.String("rate", "", "comma-separated offered loads (fractions of line rate) for loadsweep (default a grid bracketing each knee)")
-	hosts      = flag.Int("hosts", 0, "sender hosts for loadsweep (0 = scenario value or 8) and racksweep (0 = scenario value or 256)")
-	shards     = flag.Int("shards", 0, "engine shards per loadsweep/racksweep cell: hosts spread over shards, results identical at any count (0 = scenario value or single-engine)")
+	loadRates  = flag.String("rate", "", "comma-separated offered loads (fractions of line rate) for loadsweep and racksweep (default a grid bracketing each knee)")
+	hosts      = flag.Int("hosts", 0, "sender hosts, 0 = scenario value or the family default")
+	shards     = flag.Int("shards", 0, "engine shards per cell, 0 = scenario value or single-engine; results are identical at any count")
 	rackList   = flag.String("racks", "", "comma-separated rack (leaf) counts for racksweep (default 2,4,8; a scenario Fabric.Leaves pins one)")
 	outageList = flag.String("outage", "", "comma-separated spine-outage durations for failsweep, Go duration syntax (default 0,5µs,20µs,60µs; 0 is the baseline)")
-	cluster    = flag.String("cluster", "", "traffic distribution for loadsweep: database, webserver or hadoop (default scenario value or database)")
-	traceOut   = flag.String("trace", "", "write a Chrome trace-event JSON file of the run (fig11, faultsweep, mixed); open in ui.perfetto.dev")
-	metrics    = flag.Bool("metrics", false, "collect and print the metrics registry after the experiment output (fig11, faultsweep, mixed)")
+	cluster    = flag.String("cluster", "", "traffic distribution for the verbs that take -hosts: database, webserver or hadoop (default scenario value or database)")
+	traceOut   = flag.String("trace", "", "write a Chrome trace-event JSON file of the run, to open in ui.perfetto.dev")
+	metrics    = flag.Bool("metrics", false, "collect and print the metrics registry after the experiment output")
 	rankList   = flag.String("ranks", "", "comma-separated rank counts for collsweep (default 4,8,16,32,64,128; a scenario Collective.Ranks pins one)")
 	opsList    = flag.String("ops", "", "comma-separated collective ops for collsweep: allreduce, broadcast, reducescatter (default all three; a scenario Collective.Op pins one)")
 	payload    = flag.Int("payload", 0, "per-rank vector bytes for collsweep (0 = scenario value or 64KiB)")
 )
+
+// axisFlag names the flag that fills each registry axis. Sizes has none:
+// the command line always runs the paper's packet sizes.
+var axisFlag = map[string]string{
+	"Packets": "n", "SwitchNs": "switch", "Rates": "rate", "Racks": "racks",
+	"Outages": "outage", "Hosts": "hosts", "Shards": "shards", "Ranks": "ranks",
+	"Ops": "ops", "Payload": "payload", "Metrics": "metrics", "Trace": "trace",
+}
+
+// flagFor is the flag that fills axis for family fam: faultsweep sweeps
+// loss rates, so its Rates come from -loss rather than -rate.
+func flagFor(fam, axis string) string {
+	if fam == "faultsweep" && axis == "Rates" {
+		return "loss"
+	}
+	return axisFlag[axis]
+}
+
+// ownPacketDefault lists the clos-scale families whose per-cell packet
+// default is not -n's 1000: they split the count across hundreds of hosts,
+// so -n applies to them only when given explicitly.
+var ownPacketDefault = map[string]bool{"racksweep": true, "failsweep": true}
 
 // flagWasSet reports whether the named flag was given explicitly on the
 // command line (flag.Visit walks only the flags that were set).
@@ -56,25 +82,72 @@ func flagWasSet(name string) bool {
 	return set
 }
 
-// explicitPackets returns the -n value only when the flag was given
-// explicitly, and 0 otherwise. The -n default of 1000 suits single-switch
-// cells; the clos-scale sweeps split it across hundreds of hosts, so from 0
-// each sweep applies its own per-cell default instead.
-func explicitPackets() int {
-	if flagWasSet("n") {
-		return *packets
+// flagAxes fills the axes family fam consumes from the command line.
+func flagAxes(fam netdimm.Family) (netdimm.Axes, error) {
+	var ax netdimm.Axes
+	for _, name := range fam.Axes {
+		var err error
+		switch name {
+		case "Packets":
+			if !ownPacketDefault[fam.Name] || flagWasSet("n") {
+				ax.Packets = *packets
+			}
+		case "SwitchNs":
+			if *switchLat <= 0 || *switchLat%time.Nanosecond != 0 {
+				return ax, fmt.Errorf("%s: -switch %v must be a positive whole number of nanoseconds", fam.Name, *switchLat)
+			}
+			ax.SwitchNs = int(*switchLat / time.Nanosecond)
+		case "Rates":
+			src := *loadRates
+			if flagFor(fam.Name, name) == "loss" {
+				src = *lossRates
+			}
+			ax.Rates, err = parseList(src, func(s string) (float64, error) { return strconv.ParseFloat(s, 64) })
+		case "Racks":
+			ax.Racks, err = parseList(*rackList, strconv.Atoi)
+		case "Outages":
+			ax.Outages, _ = parseList(*outageList, keep)
+		case "Hosts":
+			ax.Hosts = *hosts
+		case "Shards":
+			ax.Shards = *shards
+		case "Ranks":
+			ax.Ranks, err = parseList(*rankList, strconv.Atoi)
+		case "Ops":
+			ax.Ops, _ = parseList(*opsList, keep)
+		case "Payload":
+			ax.Payload = *payload
+		case "Metrics":
+			ax.Metrics = *metrics
+		case "Trace":
+			ax.Trace = *traceOut != ""
+		}
+		if err != nil {
+			return ax, fmt.Errorf("%s: bad -%s value: %v", fam.Name, flagFor(fam.Name, name), err)
+		}
 	}
-	return 0
+	return ax, nil
 }
 
-// obsConfig arms cfg.Obs from the -trace / -metrics flags; with neither
-// flag set the configuration is returned unchanged and runs stay
-// uninstrumented (byte-identical to the pinned goldens).
-func obsConfig(cfg netdimm.Config) netdimm.Config {
-	cfg.Obs.Trace = cfg.Obs.Trace || *traceOut != ""
-	cfg.Obs.Metrics = cfg.Obs.Metrics || *metrics
-	return cfg
+// parseList parses a comma-separated flag value; an empty flag yields nil,
+// which selects the family's default axis.
+func parseList[T any](s string, parse func(string) (T, error)) ([]T, error) {
+	if s == "" {
+		return nil, nil
+	}
+	var out []T
+	for _, part := range strings.Split(s, ",") {
+		v, err := parse(strings.TrimSpace(part))
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, v)
+	}
+	return out, nil
 }
+
+// keep is the parseList element parser of string-valued axes.
+func keep(s string) (string, error) { return s, nil }
 
 // emitObservation writes the -trace file and prints the metrics registry
 // (as CSV under -csv) for an observed run; a nil observation only writes
@@ -106,63 +179,101 @@ func emitObservation(ob *netdimm.Observation) error {
 	return nil
 }
 
-// printFaultTails prints the per-architecture cross-rate latency tails of
-// a fault sweep. It is part of the -metrics rendering so the default
-// faultsweep output stays byte-identical.
-func printFaultTails(tails []netdimm.FaultTailResult) {
-	if !*metrics || len(tails) == 0 {
-		return
-	}
-	fmt.Println("\nLatency tails across all loss rates")
-	fmt.Printf("%-8s  %8s  %10s  %10s  %10s\n", "arch", "samples", "mean", "p50", "p99")
-	for _, t := range tails {
-		fmt.Printf("%-8s  %8d  %10v  %10v  %10v\n", t.Arch, t.Count, t.Mean, t.P50, t.P99)
-	}
-}
-
-// command is one experiment the CLI can run. Every runner receives the
-// scenario configuration; `all` replays the inAll commands in order.
+// command is one verb the CLI can run. Every runner receives the scenario
+// configuration; `all` replays the inAll commands in order.
 type command struct {
 	name  string
 	help  string
 	inAll bool
+	// flags lists the capability flags (csv, trace, metrics, n, hosts,
+	// shards) the verb honours; a family verb's come from its axes.
+	flags []string
 	run   func(cfg netdimm.Config) error
 }
 
-// commands is the single dispatch table: usage, dispatch and `all` iterate
-// over it, so an experiment is declared exactly once.
+// commands is the single dispatch table: usage, dispatch, flag help and
+// `all` iterate over it. Family verbs take their help line, axes and CSV
+// from the registry and add only their human-readable table here.
 var commands = []command{
-	{"table1", "system configuration (paper Table 1, or the scenario's)", true, runTable},
-	{"fig4", "one-way latency of dNIC/dNIC.zcpy/iNIC/iNIC.zcpy + PCIe share", true, runFig4},
-	{"fig5", "iperf bandwidth under MLC memory pressure", true, runFig5},
-	{"fig7", "NIC DMA access locality (six 1514B receptions)", true, runFig7},
-	{"fig11", "one-way latency breakdown: dNIC / iNIC / NetDIMM", true, runFig11},
-	{"fig12a", "cluster trace replay across switch latencies", true, runFig12a},
-	{"fig12b", "co-running app memory latency under DPI and L3F", true, runFig12b},
-	{"bandwidth", "sustained line-rate check (Sec. 5.2)", true, runBandwidth},
-	{"ablation", "design-choice ablations (nPrefetcher, nCache, FPM, allocCache)", true, runAblation},
-	{"mixed", "DDR + NetDIMM coexistence on one channel (NVDIMM-P async, Sec. 2.2)", false, runMixed},
-	{"replay", "replay a netdimm-trace file under all three architectures", false, runReplayArg},
-	{"faultsweep", "one-way latency vs injected frame loss, with retransmit recovery", false, runFaultSweep},
-	{"loadsweep", "rack-scale incast: latency vs offered load, with saturation knees", false, runLoadSweep},
-	{"racksweep", "leaf/spine clos: latency vs load across rack counts, ECN on/off", false, runRackSweep},
-	{"failsweep", "scheduled spine outage: ECMP failover, ARQ recovery time, tail inflation", false, runFailSweep},
-	{"collsweep", "collective completion: Ring AllReduce / tree Broadcast / Reduce-Scatter vs rank count", false, runCollSweep},
-	{"headline", "the abstract's summary numbers", true, runHeadline},
-	{"bench", "machine-readable benchmark report (JSON; see -benchn)", false, func(netdimm.Config) error { return runBench() }},
-	{"campaign", "run a grid of experiments from -grid FILE into a timestamped output dir", false, runCampaign},
-	{"trajectory", "perf history across BENCH_*.json reports, with -gate regression check", false, runTrajectory},
+	{name: "table1", help: "system configuration (paper Table 1, or the scenario's)", inAll: true,
+		run: func(cfg netdimm.Config) error { fmt.Print(cfg.Table()); return nil }},
+	familyCommand("fig4", true, textFig4),
+	familyCommand("fig5", true, textFig5),
+	familyCommand("fig7", true, textFig7),
+	familyCommand("fig11", true, textFig11),
+	familyCommand("fig12a", true, textFig12a),
+	familyCommand("fig12b", true, textFig12b),
+	{name: "bandwidth", help: "sustained line-rate check (Sec. 5.2)", inAll: true, flags: []string{"n"}, run: runBandwidth},
+	familyCommand("ablation", true, textAblation),
+	{name: "mixed", help: "DDR + NetDIMM coexistence on one channel (NVDIMM-P async, Sec. 2.2)",
+		flags: []string{"n", "trace", "metrics"}, run: runMixed},
+	{name: "replay", help: "replay a netdimm-trace file under all three architectures", run: runReplayArg},
+	familyCommand("faultsweep", false, textFaultSweep),
+	familyCommand("loadsweep", false, textLoadSweep),
+	familyCommand("racksweep", false, textRackSweep),
+	familyCommand("failsweep", false, textFailSweep),
+	familyCommand("collsweep", false, textCollSweep),
+	{name: "headline", help: "the abstract's summary numbers", inAll: true, flags: []string{"n"}, run: runHeadline},
+	{name: "bench", help: "machine-readable benchmark report (JSON; see -n)", flags: []string{"n"},
+		run: func(netdimm.Config) error { return runBench() }},
+	{name: "campaign", help: "run a grid of experiments from -grid FILE into a timestamped output dir", run: runCampaign},
+	{name: "trajectory", help: "perf history across BENCH_*.json reports, with -gate regression check",
+		flags: []string{"csv"}, run: runTrajectory},
 }
 
-// csvOut prints one CSV record.
-func csvOut(fields ...string) {
-	for i, f := range fields {
-		if i > 0 {
-			fmt.Print(",")
-		}
-		fmt.Print(f)
+// familyCommand binds a registry family to its text table.
+func familyCommand(name string, inAll bool, text func(netdimm.FamilyRun)) command {
+	fam, ok := netdimm.LookupFamily(name)
+	if !ok {
+		panic("netdimm-sim: no registry family " + name)
 	}
-	fmt.Println()
+	flags := []string{"csv"}
+	for _, axis := range fam.Axes {
+		if f := flagFor(name, axis); f != "" {
+			flags = append(flags, f)
+		}
+	}
+	return command{name: name, help: fam.Help, inAll: inAll, flags: flags, run: func(cfg netdimm.Config) error {
+		ax, err := flagAxes(fam)
+		if err != nil {
+			return err
+		}
+		if *cluster != "" && slices.Contains(fam.Axes, "Hosts") {
+			cfg.Load.Cluster = *cluster
+		}
+		out, err := fam.Run(cfg, *seed, ax, *parallel)
+		if err != nil {
+			return err
+		}
+		if *asCSV {
+			fmt.Print(out.CSV())
+		} else {
+			text(out)
+		}
+		if fam.Observed {
+			return emitObservation(out.Obs)
+		}
+		return nil
+	}}
+}
+
+// verbsHonouring lists the verbs that act on the named flag.
+func verbsHonouring(flagName string) []string {
+	var names []string
+	for _, c := range commands {
+		if slices.Contains(c.flags, flagName) {
+			names = append(names, c.name)
+		}
+	}
+	return names
+}
+
+// init appends to each capability flag's help the verbs that honour it.
+func init() {
+	for _, name := range []string{"csv", "trace", "metrics", "n", "hosts", "shards"} {
+		f := flag.Lookup(name)
+		f.Usage += " (verbs: " + strings.Join(verbsHonouring(name), ", ") + ")"
+	}
 }
 
 // subArgs holds the positional arguments that follow a subcommand verb
@@ -204,9 +315,9 @@ func main() {
 func usage() {
 	fmt.Fprintf(os.Stderr, "usage: netdimm-sim [flags] <experiment>\n\nexperiments:\n")
 	for _, c := range commands {
-		fmt.Fprintf(os.Stderr, "  %-9s %s\n", c.name, c.help)
+		fmt.Fprintf(os.Stderr, "  %-10s %s\n", c.name, c.help)
 	}
-	fmt.Fprintf(os.Stderr, "  %-9s %s\n", "all", "every experiment above that needs no extra argument")
+	fmt.Fprintf(os.Stderr, "  %-10s %s\n", "all", "every experiment above that needs no extra argument")
 	fmt.Fprintf(os.Stderr, "\nscenarios (for -scenario; or pass a JSON config file):\n  %v\n\nflags:\n",
 		netdimm.Scenarios())
 	flag.PrintDefaults()
@@ -230,83 +341,49 @@ func run(cfg netdimm.Config, exp string) error {
 		return nil
 	}
 	for _, c := range commands {
-		if c.name == exp {
-			return c.run(cfg)
+		if c.name != exp {
+			continue
 		}
+		// A single verb refuses an output flag it cannot honour; `all`
+		// applies each to the verbs that can.
+		given := map[string]bool{"csv": *asCSV, "trace": *traceOut != "", "metrics": *metrics}
+		for _, name := range []string{"csv", "trace", "metrics"} {
+			if given[name] && !slices.Contains(c.flags, name) {
+				return fmt.Errorf("%s does not support -%s (verbs that do: %s)",
+					exp, name, strings.Join(verbsHonouring(name), ", "))
+			}
+		}
+		return c.run(cfg)
 	}
 	return fmt.Errorf("unknown experiment %q", exp)
 }
 
-func runTable(cfg netdimm.Config) error {
-	fmt.Print(cfg.Table())
-	return nil
-}
-
-func runFig4(cfg netdimm.Config) error {
-	rows, err := netdimm.RunFig4WithConfig(cfg, nil, *switchLat, *parallel)
-	if err != nil {
-		return err
-	}
-	if *asCSV {
-		csvOut("size", "dnic_ns", "dnic_zcpy_ns", "inic_ns", "inic_zcpy_ns", "pcie_share", "pcie_share_zcpy")
-		for _, r := range rows {
-			csvOut(fmt.Sprint(r.Size),
-				fmt.Sprint(r.DNIC.Nanoseconds()), fmt.Sprint(r.DNICZcpy.Nanoseconds()),
-				fmt.Sprint(r.INIC.Nanoseconds()), fmt.Sprint(r.INICZcpy.Nanoseconds()),
-				fmt.Sprintf("%.4f", r.PCIeShare), fmt.Sprintf("%.4f", r.PCIeShareZcpy))
-		}
-		return nil
-	}
+func textFig4(out netdimm.FamilyRun) {
 	fmt.Printf("Fig. 4 — one-way latency, baseline NICs (switch %v)\n", *switchLat)
 	fmt.Printf("%6s  %10s  %10s  %10s  %10s  %10s  %10s\n",
 		"size", "dNIC", "dNIC.zcpy", "iNIC", "iNIC.zcpy", "pcie.overh", "pcie.zcpy")
-	for _, r := range rows {
+	for _, r := range out.Rows.([]netdimm.Fig4Result) {
 		fmt.Printf("%6d  %10v  %10v  %10v  %10v  %9.1f%%  %9.1f%%\n",
 			r.Size, r.DNIC, r.DNICZcpy, r.INIC, r.INICZcpy,
 			r.PCIeShare*100, r.PCIeShareZcpy*100)
 	}
-	return nil
 }
 
-func runFig5(cfg netdimm.Config) error {
-	rows, err := netdimm.RunFig5WithConfig(cfg, nil, *parallel)
-	if err != nil {
-		return err
-	}
-	if *asCSV {
-		csvOut("inject_delay_ns", "gbps", "mem_read_ns")
-		for _, r := range rows {
-			csvOut(fmt.Sprint(r.InjectDelay.Nanoseconds()),
-				fmt.Sprintf("%.2f", r.BandwidthGbps), fmt.Sprintf("%.1f", r.MemReadNs))
-		}
-		return nil
-	}
+func textFig5(out netdimm.FamilyRun) {
 	fmt.Println("Fig. 5 — iperf bandwidth vs MLC memory pressure")
 	fmt.Printf("%14s  %10s  %12s\n", "inject delay", "Gbps", "mem read ns")
-	for _, r := range rows {
+	for _, r := range out.Rows.([]netdimm.Fig5Result) {
 		delay := r.InjectDelay.String()
 		if r.InjectDelay >= time.Second {
 			delay = "none"
 		}
 		fmt.Printf("%14s  %10.1f  %12.0f\n", delay, r.BandwidthGbps, r.MemReadNs)
 	}
-	return nil
 }
 
-func runFig7(cfg netdimm.Config) error {
-	pts, err := netdimm.RunFig7WithConfig(cfg)
-	if err != nil {
-		return err
-	}
-	if *asCSV {
-		csvOut("rel_cacheline", "rel_time_ns", "burst")
-		for _, p := range pts {
-			csvOut(fmt.Sprint(p.RelCacheline), fmt.Sprint(p.RelTime.Nanoseconds()), fmt.Sprint(p.Burst))
-		}
-		return nil
-	}
+func textFig7(out netdimm.FamilyRun) {
 	fmt.Println("Fig. 7 — DMA request trace, six 1514B receptions (rel line, rel ns, burst)")
-	for i, p := range pts {
+	for i, p := range out.Rows.([]netdimm.Fig7Result) {
 		fmt.Printf("%4d %8.1f %d", p.RelCacheline, float64(p.RelTime.Nanoseconds()), p.Burst)
 		if (i+1)%4 == 0 {
 			fmt.Println()
@@ -315,35 +392,11 @@ func runFig7(cfg netdimm.Config) error {
 		}
 	}
 	fmt.Println()
-	return nil
 }
 
-func runFig11(cfg netdimm.Config) error {
-	rows, ob, err := netdimm.RunFig11Observed(obsConfig(cfg), nil, *switchLat, *parallel)
-	if err != nil {
-		return err
-	}
-	defer emitObservation(ob)
-	if *asCSV {
-		csvOut("size", "arch", "txCopy_ns", "rxCopy_ns", "txDMA_ns", "rxDMA_ns",
-			"wire_ns", "ioReg_ns", "txFlush_ns", "rxInvalidate_ns", "total_ns")
-		emit := func(size int, arch string, b netdimm.LatencyBreakdown) {
-			csvOut(fmt.Sprint(size), arch,
-				fmt.Sprint(b.TxCopy.Nanoseconds()), fmt.Sprint(b.RxCopy.Nanoseconds()),
-				fmt.Sprint(b.TxDMA.Nanoseconds()), fmt.Sprint(b.RxDMA.Nanoseconds()),
-				fmt.Sprint(b.Wire.Nanoseconds()), fmt.Sprint(b.IOReg.Nanoseconds()),
-				fmt.Sprint(b.TxFlush.Nanoseconds()), fmt.Sprint(b.RxInvalidate.Nanoseconds()),
-				fmt.Sprint(b.Total.Nanoseconds()))
-		}
-		for _, r := range rows {
-			emit(r.Size, "dNIC", r.DNIC)
-			emit(r.Size, "iNIC", r.INIC)
-			emit(r.Size, "NetDIMM", r.NetDIMM)
-		}
-		return nil
-	}
+func textFig11(out netdimm.FamilyRun) {
 	fmt.Printf("Fig. 11 — one-way latency breakdown (switch %v)\n", *switchLat)
-	for _, r := range rows {
+	for _, r := range out.Extra.([]netdimm.Fig11Result) {
 		fmt.Printf("size %dB:\n", r.Size)
 		fmt.Printf("  dNIC    %v\n", r.DNIC)
 		fmt.Printf("  iNIC    %v\n", r.INIC)
@@ -351,55 +404,25 @@ func runFig11(cfg netdimm.Config) error {
 		fmt.Printf("  reduction: %.1f%% vs dNIC, %.1f%% vs iNIC\n",
 			r.ReductionVsDNIC*100, r.ReductionVsINIC*100)
 	}
-	return nil
 }
 
-func runFig12a(cfg netdimm.Config) error {
-	rows, err := netdimm.RunFig12aWithConfig(cfg, *packets, *seed, *parallel)
-	if err != nil {
-		return err
-	}
-	if *asCSV {
-		csvOut("cluster", "switch_ns", "dnic_mean_ns", "inic_mean_ns", "netdimm_mean_ns", "norm_dnic", "norm_inic")
-		for _, r := range rows {
-			csvOut(string(r.Cluster), fmt.Sprint(r.SwitchLatency.Nanoseconds()),
-				fmt.Sprint(r.DNICMean.Nanoseconds()), fmt.Sprint(r.INICMean.Nanoseconds()),
-				fmt.Sprint(r.NetDIMMMean.Nanoseconds()),
-				fmt.Sprintf("%.4f", r.NormVsDNIC), fmt.Sprintf("%.4f", r.NormVsINIC))
-		}
-		return nil
-	}
+func textFig12a(out netdimm.FamilyRun) {
 	fmt.Printf("Fig. 12a — normalized per-packet latency, %d packets/cell\n", *packets)
 	fmt.Printf("%-10s  %8s  %10s  %10s  %12s  %12s\n",
 		"cluster", "switch", "dNIC mean", "ND mean", "norm(dNIC)", "norm(iNIC)")
-	for _, r := range rows {
+	for _, r := range out.Rows.([]netdimm.Fig12aResult) {
 		fmt.Printf("%-10s  %8v  %10v  %10v  %12.3f  %12.3f\n",
 			r.Cluster, r.SwitchLatency, r.DNICMean, r.NetDIMMMean, r.NormVsDNIC, r.NormVsINIC)
 	}
-	return nil
 }
 
-func runFig12b(cfg netdimm.Config) error {
-	rows, err := netdimm.RunFig12bWithConfig(cfg, *parallel)
-	if err != nil {
-		return err
-	}
-	if *asCSV {
-		csvOut("cluster", "nf", "inic_ns", "netdimm_ns", "norm")
-		for _, r := range rows {
-			csvOut(string(r.Cluster), string(r.Function),
-				fmt.Sprintf("%.2f", r.INICNs), fmt.Sprintf("%.2f", r.NetDIMMNs),
-				fmt.Sprintf("%.4f", r.Norm))
-		}
-		return nil
-	}
+func textFig12b(out netdimm.FamilyRun) {
 	fmt.Println("Fig. 12b — co-running app memory latency (normalized to iNIC)")
 	fmt.Printf("%-10s  %-4s  %10s  %10s  %8s\n", "cluster", "nf", "iNIC ns", "ND ns", "norm")
-	for _, r := range rows {
+	for _, r := range out.Rows.([]netdimm.Fig12bResult) {
 		fmt.Printf("%-10s  %-4s  %10.1f  %10.1f  %8.3f\n",
 			r.Cluster, r.Function, r.INICNs, r.NetDIMMNs, r.Norm)
 	}
-	return nil
 }
 
 func runBandwidth(cfg netdimm.Config) error {
@@ -421,11 +444,8 @@ func runBandwidth(cfg netdimm.Config) error {
 	return nil
 }
 
-func runAblation(cfg netdimm.Config) error {
-	rep, err := netdimm.RunAblationsWithConfig(cfg, *parallel)
-	if err != nil {
-		return err
-	}
+func textAblation(out netdimm.FamilyRun) {
+	rep := out.Extra.(netdimm.AblationReport)
 	fmt.Println("Ablations — what each NetDIMM design choice contributes")
 	fmt.Println("\nnPrefetcher degree vs payload-read behaviour:")
 	for _, r := range rep.Prefetch {
@@ -446,22 +466,22 @@ func runAblation(cfg netdimm.Config) error {
 		fmt.Printf("  %-28s header read %v, hit rate %5.1f%%\n",
 			r.Strategy, r.HeaderRead, r.HitRate*100)
 	}
-	return nil
 }
 
 func runMixed(cfg netdimm.Config) error {
-	r, ob, err := netdimm.RunMixedChannelObserved(obsConfig(cfg), *packets, *seed)
+	cfg.Obs.Trace = cfg.Obs.Trace || *traceOut != ""
+	cfg.Obs.Metrics = cfg.Obs.Metrics || *metrics
+	r, ob, err := netdimm.RunMixedChannelObserved(cfg, *packets, *seed)
 	if err != nil {
 		return err
 	}
-	defer emitObservation(ob)
 	fmt.Println("Mixed channel — DDR + NetDIMM on one DDR5 channel (Sec. 2.2)")
 	fmt.Printf("  DDR reads:      %5d  mean %v\n", r.DDRReads, r.DDRMean)
 	fmt.Printf("  NetDIMM reads:  %5d  mean %v (asynchronous, non-deterministic)\n",
 		r.NetDIMMReads, r.NetDIMMMean)
 	fmt.Printf("  out-of-order completions: %d, max outstanding request IDs: %d\n",
 		r.OutOfOrder, r.MaxOutstandingIDs)
-	return nil
+	return emitObservation(ob)
 }
 
 func runReplayArg(cfg netdimm.Config) error {
@@ -486,194 +506,61 @@ func runReplayArg(cfg netdimm.Config) error {
 	return nil
 }
 
-// parseLossRates parses the -loss flag; an empty flag selects the
-// experiment's default sweep.
-func parseLossRates(s string) ([]float64, error) {
-	if s == "" {
-		return nil, nil
-	}
-	var rates []float64
-	for _, part := range strings.Split(s, ",") {
-		r, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
-		if err != nil {
-			return nil, fmt.Errorf("faultsweep: bad loss rate %q: %v", part, err)
-		}
-		rates = append(rates, r)
-	}
-	return rates, nil
-}
-
-func runFaultSweep(cfg netdimm.Config) error {
-	rates, err := parseLossRates(*lossRates)
-	if err != nil {
-		return err
-	}
-	rows, tails, ob, err := netdimm.RunFaultSweepObserved(obsConfig(cfg), rates, *packets, *seed, *parallel)
-	if err != nil {
-		return err
-	}
-	defer emitObservation(ob)
-	defer printFaultTails(tails)
-	if *asCSV {
-		csvOut("arch", "loss_rate", "mean_ns", "p50_ns", "p99_ns",
-			"delivered", "failed", "retransmits", "frames_dropped", "frames_corrupted", "mem_retries")
-		for _, r := range rows {
-			csvOut(r.Arch, fmt.Sprintf("%g", r.LossRate),
-				fmt.Sprint(r.Mean.Nanoseconds()), fmt.Sprint(r.P50.Nanoseconds()), fmt.Sprint(r.P99.Nanoseconds()),
-				fmt.Sprint(r.Delivered), fmt.Sprint(r.Failed),
-				fmt.Sprint(r.Counters.Retransmits), fmt.Sprint(r.Counters.FramesDropped),
-				fmt.Sprint(r.Counters.FramesCorrupted), fmt.Sprint(r.Counters.MemRetries))
-		}
-		return nil
-	}
+func textFaultSweep(out netdimm.FamilyRun) {
 	fmt.Println("Fault sweep — one-way latency vs injected frame loss (with recovery)")
 	fmt.Printf("%-8s  %8s  %10s  %10s  %10s  %9s  %6s  %7s\n",
 		"arch", "loss", "mean", "p50", "p99", "delivered", "failed", "retrans")
-	for _, r := range rows {
+	for _, r := range out.Rows.([]netdimm.FaultSweepResult) {
 		fmt.Printf("%-8s  %8g  %10v  %10v  %10v  %9d  %6d  %7d\n",
 			r.Arch, r.LossRate, r.Mean, r.P50, r.P99, r.Delivered, r.Failed, r.Counters.Retransmits)
 	}
-	return nil
+	// The cross-rate tails are part of the -metrics rendering, so the
+	// default output stays unchanged.
+	if tails := out.Extra.([]netdimm.FaultTailResult); *metrics && len(tails) > 0 {
+		fmt.Println("\nLatency tails across all loss rates")
+		fmt.Printf("%-8s  %8s  %10s  %10s  %10s\n", "arch", "samples", "mean", "p50", "p99")
+		for _, t := range tails {
+			fmt.Printf("%-8s  %8d  %10v  %10v  %10v\n", t.Arch, t.Count, t.Mean, t.P50, t.P99)
+		}
+	}
 }
 
-// parseLoadRates parses the -rate flag; an empty flag selects the
-// experiment's default grid.
-func parseLoadRates(s string) ([]float64, error) {
-	if s == "" {
-		return nil, nil
-	}
-	var rates []float64
-	for _, part := range strings.Split(s, ",") {
-		r, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
-		if err != nil {
-			return nil, fmt.Errorf("loadsweep: bad offered load %q: %v", part, err)
-		}
-		rates = append(rates, r)
-	}
-	return rates, nil
-}
-
-func runLoadSweep(cfg netdimm.Config) error {
-	rates, err := parseLoadRates(*loadRates)
-	if err != nil {
-		return err
-	}
-	if *hosts != 0 {
-		cfg.Load.Hosts = *hosts
-	}
-	if *cluster != "" {
-		cfg.Load.Cluster = *cluster
-	}
-	if *shards != 0 {
-		cfg.Load.Shards = *shards
-	}
-	rows, knees, ob, err := netdimm.RunLoadSweepObserved(obsConfig(cfg), rates, *packets, *seed, *parallel)
-	if err != nil {
-		return err
-	}
-	defer emitObservation(ob)
-	if *asCSV {
-		csvOut("arch", "offered_load", "mean_ns", "p50_ns", "p99_ns", "p999_ns",
-			"delivered", "dropped", "egress_max_depth", "egress_queue_delay_ns", "rx_max_depth", "link_util")
-		for _, r := range rows {
-			csvOut(r.Arch, fmt.Sprintf("%g", r.OfferedLoad),
-				fmt.Sprint(r.Mean.Nanoseconds()), fmt.Sprint(r.P50.Nanoseconds()),
-				fmt.Sprint(r.P99.Nanoseconds()), fmt.Sprint(r.P999.Nanoseconds()),
-				fmt.Sprint(r.Delivered), fmt.Sprint(r.Dropped),
-				fmt.Sprint(r.EgressMaxDepth), fmt.Sprint(r.EgressQueueDelay.Nanoseconds()),
-				fmt.Sprint(r.RxMaxDepth), fmt.Sprintf("%.4f", r.LinkUtilization))
-		}
-		return nil
-	}
+func textLoadSweep(out netdimm.FamilyRun) {
 	fmt.Println("Load sweep — rack-scale incast: end-to-end latency vs offered load")
 	fmt.Printf("%-8s  %7s  %10s  %10s  %10s  %10s  %9s  %7s  %8s\n",
 		"arch", "load", "mean", "p50", "p99", "p99.9", "delivered", "dropped", "rx depth")
-	for _, r := range rows {
+	for _, r := range out.Rows.([]netdimm.LoadSweepResult) {
 		fmt.Printf("%-8s  %7g  %10v  %10v  %10v  %10v  %9d  %7d  %8d\n",
 			r.Arch, r.OfferedLoad, r.Mean, r.P50, r.P99, r.P999, r.Delivered, r.Dropped, r.RxMaxDepth)
 	}
 	fmt.Println("\nSaturation knees (highest load with p99 within the knee factor of baseline)")
-	for _, k := range knees {
+	for _, k := range out.Extra.([]netdimm.LoadKneeResult) {
 		if !k.Saturated {
 			fmt.Printf("  %-8s no knee: curve never saturated within the swept grid\n", k.Arch)
 			continue
 		}
 		fmt.Printf("  %-8s saturates beyond %g of line rate\n", k.Arch, k.Knee)
 	}
-	return nil
 }
 
-// parseRacks parses the -racks flag; an empty flag selects the default
-// grid (or the scenario's pinned leaf count).
-func parseRacks(s string) ([]int, error) {
-	if s == "" {
-		return nil, nil
+func ecnStr(on bool) string {
+	if on {
+		return "on"
 	}
-	var racks []int
-	for _, part := range strings.Split(s, ",") {
-		r, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil {
-			return nil, fmt.Errorf("racksweep: bad rack count %q: %v", part, err)
-		}
-		racks = append(racks, r)
-	}
-	return racks, nil
+	return "off"
 }
 
-func runRackSweep(cfg netdimm.Config) error {
-	rates, err := parseLoadRates(*loadRates)
-	if err != nil {
-		return err
-	}
-	racks, err := parseRacks(*rackList)
-	if err != nil {
-		return err
-	}
-	if *hosts != 0 {
-		cfg.Load.Hosts = *hosts
-	}
-	if *cluster != "" {
-		cfg.Load.Cluster = *cluster
-	}
-	if *shards != 0 {
-		cfg.Load.Shards = *shards
-	}
-	rows, knees, ob, err := netdimm.RunRackSweepObserved(obsConfig(cfg), racks, rates, explicitPackets(), *seed, *parallel)
-	if err != nil {
-		return err
-	}
-	defer emitObservation(ob)
-	ecnStr := func(on bool) string {
-		if on {
-			return "on"
-		}
-		return "off"
-	}
-	if *asCSV {
-		csvOut("arch", "racks", "ecn", "offered_load", "mean_ns", "p50_ns", "p99_ns", "p999_ns",
-			"delivered", "dropped", "marked", "cross_rack",
-			"leaf_max_depth", "spine_max_depth", "rx_max_depth", "link_util")
-		for _, r := range rows {
-			csvOut(r.Arch, fmt.Sprint(r.Racks), ecnStr(r.ECN), fmt.Sprintf("%g", r.OfferedLoad),
-				fmt.Sprint(r.Mean.Nanoseconds()), fmt.Sprint(r.P50.Nanoseconds()),
-				fmt.Sprint(r.P99.Nanoseconds()), fmt.Sprint(r.P999.Nanoseconds()),
-				fmt.Sprint(r.Delivered), fmt.Sprint(r.Dropped),
-				fmt.Sprint(r.Marked), fmt.Sprint(r.CrossRack),
-				fmt.Sprint(r.LeafMaxDepth), fmt.Sprint(r.SpineMaxDepth),
-				fmt.Sprint(r.RxMaxDepth), fmt.Sprintf("%.4f", r.LinkUtilization))
-		}
-		return nil
-	}
+func textRackSweep(out netdimm.FamilyRun) {
 	fmt.Println("Rack sweep — leaf/spine clos: end-to-end latency vs per-host load")
 	fmt.Printf("%-8s  %5s  %4s  %6s  %10s  %10s  %10s  %9s  %7s  %7s  %6s\n",
 		"arch", "racks", "ecn", "load", "mean", "p99", "p99.9", "delivered", "dropped", "marked", "xrack")
-	for _, r := range rows {
+	for _, r := range out.Rows.([]netdimm.RackSweepResult) {
 		fmt.Printf("%-8s  %5d  %4s  %6g  %10v  %10v  %10v  %9d  %7d  %7d  %6d\n",
 			r.Arch, r.Racks, ecnStr(r.ECN), r.OfferedLoad, r.Mean, r.P99, r.P999,
 			r.Delivered, r.Dropped, r.Marked, r.CrossRack)
 	}
 	fmt.Println("\nSaturation knees per (arch, racks, ECN) curve")
-	for _, k := range knees {
+	for _, k := range out.Extra.([]netdimm.RackKneeResult) {
 		if !k.Saturated {
 			fmt.Printf("  %-8s racks=%d ecn=%-3s no knee: curve never saturated within the swept grid\n",
 				k.Arch, k.Racks, ecnStr(k.ECN))
@@ -682,72 +569,13 @@ func runRackSweep(cfg netdimm.Config) error {
 		fmt.Printf("  %-8s racks=%d ecn=%-3s saturates beyond %g of line rate\n",
 			k.Arch, k.Racks, ecnStr(k.ECN), k.Knee)
 	}
-	return nil
 }
 
-// parseOutages parses the -outage flag; an empty flag selects the default
-// duration grid. "0" is accepted alongside full duration syntax.
-func parseOutages(s string) ([]time.Duration, error) {
-	if s == "" {
-		return nil, nil
-	}
-	var outs []time.Duration
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "0" {
-			outs = append(outs, 0)
-			continue
-		}
-		d, err := time.ParseDuration(part)
-		if err != nil {
-			return nil, fmt.Errorf("failsweep: bad outage duration %q: %v", part, err)
-		}
-		outs = append(outs, d)
-	}
-	return outs, nil
-}
-
-func runFailSweep(cfg netdimm.Config) error {
-	outages, err := parseOutages(*outageList)
-	if err != nil {
-		return err
-	}
-	if *hosts != 0 {
-		cfg.Load.Hosts = *hosts
-	}
-	if *cluster != "" {
-		cfg.Load.Cluster = *cluster
-	}
-	if *shards != 0 {
-		cfg.Load.Shards = *shards
-	}
-	rows, ob, err := netdimm.RunFailSweepObserved(obsConfig(cfg), outages, explicitPackets(), *seed, *parallel)
-	if err != nil {
-		return err
-	}
-	defer emitObservation(ob)
-	if *asCSV {
-		csvOut("arch", "outage_ns", "delivered", "failed", "dropped",
-			"outage_drops", "burst_drops", "rerouted", "retransmits", "recovered",
-			"reroute_ns", "mean_recovery_ns", "during_offered", "during_delivered",
-			"p99_before_ns", "p99_during_ns", "p99_after_ns", "p999_after_ns", "tail_inflation")
-		for _, r := range rows {
-			csvOut(r.Arch, fmt.Sprint(r.Outage.Nanoseconds()),
-				fmt.Sprint(r.Delivered), fmt.Sprint(r.Failed), fmt.Sprint(r.Dropped),
-				fmt.Sprint(r.OutageDrops), fmt.Sprint(r.BurstDrops),
-				fmt.Sprint(r.Rerouted), fmt.Sprint(r.Retransmits), fmt.Sprint(r.Recovered),
-				fmt.Sprint(r.TimeToReroute.Nanoseconds()), fmt.Sprint(r.MeanRecovery.Nanoseconds()),
-				fmt.Sprint(r.DuringOffered), fmt.Sprint(r.DuringDelivered),
-				fmt.Sprint(r.P99Before.Nanoseconds()), fmt.Sprint(r.P99During.Nanoseconds()),
-				fmt.Sprint(r.P99After.Nanoseconds()), fmt.Sprint(r.P999After.Nanoseconds()),
-				fmt.Sprintf("%.3f", r.TailInflation))
-		}
-		return nil
-	}
+func textFailSweep(out netdimm.FamilyRun) {
 	fmt.Println("Failure sweep — scheduled spine outage: failover, recovery, tail inflation")
 	fmt.Printf("%-8s  %7s  %9s  %7s  %8s  %8s  %7s  %9s  %10s  %10s  %10s  %9s\n",
 		"arch", "outage", "delivered", "dropped", "rerouted", "retrans", "recov", "reroute", "mean recov", "p99 before", "p99 after", "inflation")
-	for _, r := range rows {
+	for _, r := range out.Rows.([]netdimm.FailSweepResult) {
 		reroute := "-"
 		if r.TimeToReroute >= 0 {
 			reroute = r.TimeToReroute.String()
@@ -760,78 +588,17 @@ func runFailSweep(cfg netdimm.Config) error {
 			r.Arch, r.Outage, r.Delivered, r.Dropped, r.Rerouted, r.Retransmits, r.Recovered,
 			reroute, r.MeanRecovery, r.P99Before, r.P99After, inflation)
 	}
-	return nil
 }
 
-// parseRanks parses the -ranks flag; an empty flag selects the default
-// grid (or the scenario's pinned Collective.Ranks).
-func parseRanks(s string) ([]int, error) {
-	if s == "" {
-		return nil, nil
-	}
-	var ranks []int
-	for _, part := range strings.Split(s, ",") {
-		r, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil {
-			return nil, fmt.Errorf("collsweep: bad rank count %q: %v", part, err)
-		}
-		ranks = append(ranks, r)
-	}
-	return ranks, nil
-}
-
-// parseOps parses the -ops flag; an empty flag selects all operations (or
-// the scenario's pinned Collective.Op).
-func parseOps(s string) []string {
-	if s == "" {
-		return nil
-	}
-	var ops []string
-	for _, part := range strings.Split(s, ",") {
-		ops = append(ops, strings.TrimSpace(part))
-	}
-	return ops
-}
-
-func runCollSweep(cfg netdimm.Config) error {
-	ranks, err := parseRanks(*rankList)
-	if err != nil {
-		return err
-	}
-	if *payload != 0 {
-		cfg.Collective.PayloadBytes = *payload
-	}
-	if *shards != 0 {
-		cfg.Load.Shards = *shards
-	}
-	rows, ob, err := netdimm.RunCollSweepObserved(obsConfig(cfg), ranks, parseOps(*opsList), *seed, *parallel)
-	if err != nil {
-		return err
-	}
-	defer emitObservation(ob)
-	if *asCSV {
-		csvOut("arch", "op", "ranks", "payload_bytes", "steps",
-			"completion_ns", "step_skew_ns", "bytes_on_wire", "frames", "delivered",
-			"dropped", "marked", "link_util")
-		for _, r := range rows {
-			csvOut(r.Arch, r.Op, fmt.Sprint(r.Ranks),
-				fmt.Sprint(r.PayloadBytes), fmt.Sprint(r.Steps),
-				fmt.Sprint(r.Completion.Nanoseconds()), fmt.Sprint(r.StepSkew.Nanoseconds()),
-				fmt.Sprint(r.BytesOnWire), fmt.Sprint(r.Frames), fmt.Sprint(r.Delivered),
-				fmt.Sprint(r.Dropped), fmt.Sprint(r.Marked),
-				fmt.Sprintf("%.4f", r.LinkUtilization))
-		}
-		return nil
-	}
+func textCollSweep(out netdimm.FamilyRun) {
 	fmt.Println("Collective sweep — completion time vs rank count (every cell verified against a sequential reference)")
 	fmt.Printf("%-8s  %-13s  %5s  %5s  %12s  %11s  %10s  %7s  %6s\n",
 		"arch", "op", "ranks", "steps", "completion", "step skew", "wire bytes", "marked", "util")
-	for _, r := range rows {
+	for _, r := range out.Rows.([]netdimm.CollSweepResult) {
 		fmt.Printf("%-8s  %-13s  %5d  %5d  %12v  %11v  %10d  %7d  %5.1f%%\n",
 			r.Arch, r.Op, r.Ranks, r.Steps, r.Completion, r.StepSkew,
 			r.BytesOnWire, r.Marked, r.LinkUtilization*100)
 	}
-	return nil
 }
 
 func runHeadline(cfg netdimm.Config) error {

@@ -11,50 +11,44 @@ import (
 // Broadcast or Reduce-Scatter over the fabric, with per-step skew and the
 // cell's wire tallies.
 type CollSweepResult struct {
-	Arch string
+	Arch string `csv:"arch"`
 	// Op is the collective operation: "allreduce", "broadcast" or
 	// "reducescatter".
-	Op string
+	Op string `csv:"op"`
 	// Ranks is the number of participating hosts.
-	Ranks int
+	Ranks int `csv:"ranks"`
 	// PayloadBytes is each rank's full vector size in bytes.
-	PayloadBytes int
+	PayloadBytes int `csv:"payload_bytes"`
 	// Steps is the schedule depth (2(N-1) for the ring allreduce, N-1 for
 	// the reduce-scatter ring, ceil(log2 N) rounds for the tree broadcast).
-	Steps int
+	Steps int `csv:"steps"`
 	// Completion is the time the slowest rank finished its schedule.
-	Completion time.Duration
+	Completion time.Duration `csv:"completion_ns"`
 	// StepSkew is the worst finish-time spread across ranks at any single
 	// schedule step — the synchronization cost the collective pays per step.
-	StepSkew time.Duration
+	StepSkew time.Duration `csv:"step_skew_ns"`
 	// BytesOnWire counts delivered frame bytes including Ethernet overhead.
-	BytesOnWire int64
+	BytesOnWire int64 `csv:"bytes_on_wire"`
 	// Frames and Delivered count injected and delivered fabric frames;
 	// Dropped counts tail drops (any drop stalls the dependency graph and
 	// turns into a diagnostic error, so successful rows report 0); Marked
 	// counts freshly ECN-marked frames.
-	Frames    int
-	Delivered int
-	Dropped   int
-	Marked    int
+	Frames    int `csv:"frames"`
+	Delivered int `csv:"delivered"`
+	Dropped   int `csv:"dropped"`
+	Marked    int `csv:"marked"`
 	// LinkUtilization is delivered wire occupancy averaged over every
 	// rank's link and the collective's makespan, in [0,1].
-	LinkUtilization float64
+	LinkUtilization float64 `csv:"link_util" fmt:"%.4f"`
 }
 
-// RunCollSweep runs the collective sweep on the default configuration: for
-// each architecture, operation and rank count, the ranks run the collective
-// as an event-driven dependency graph over the fabric and the makespan,
-// per-step skew and wire tallies are measured. Every cell also verifies the
-// result vectors against a sequential reference reduction. ranks is the
-// rank-count axis (nil = {4, 8, 16, 32, 64, 128}), ops selects operations
-// (nil = all three).
-func RunCollSweep(ranks []int, ops []string, seed uint64, parallelism int) ([]CollSweepResult, error) {
-	return RunCollSweepWithConfig(DefaultConfig(), ranks, ops, seed, parallelism)
-}
-
-// RunCollSweepWithConfig is RunCollSweep on the system described by cfg.
-// The collective shape — operation, rank count, payload and chunk bytes —
+// RunCollSweepWithConfig runs the collective sweep on the system described
+// by cfg: for each architecture, operation and rank count, the ranks run
+// the collective as an event-driven dependency graph over the fabric and
+// the makespan, per-step skew and wire tallies are measured. Every cell
+// also verifies the result vectors against a sequential reference
+// reduction. ranks is the rank-count axis (nil = {4, 8, 16, 32, 64, 128}),
+// ops selects operations (nil = all three). The collective shape — operation, rank count, payload and chunk bytes —
 // comes from cfg.Collective when the axis arguments are nil/zero; port
 // buffering and sharding come from cfg.Load. A cell that drops a frame
 // deadlocks its dependency graph and is reported as a diagnostic error

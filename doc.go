@@ -27,12 +27,18 @@
 //
 // # Quick start
 //
-//	tx, _ := netdimm.NewNetDIMM(1)
-//	rx, _ := netdimm.NewNetDIMM(2)
-//	lat, _ := netdimm.OneWayLatency(tx, rx, 256, 100*time.Nanosecond)
+//	cfg := netdimm.DefaultConfig()
+//	tx, _ := netdimm.NewNetDIMMWithConfig(cfg, 1)
+//	rx, _ := netdimm.NewNetDIMMWithConfig(cfg, 2)
+//	lat, _ := netdimm.OneWayLatencyWithConfig(cfg, tx, rx, 256, 100*time.Nanosecond)
 //	fmt.Println(lat.Total, lat.IOReg, lat.TxFlush)
 //
-// Experiment runners (RunFig4, RunFig5, RunFig7, RunFig11, RunFig12a,
-// RunFig12b, RunHeadline) regenerate each figure of the paper's
-// evaluation; cmd/netdimm-sim wraps them on the command line.
+// Experiment runners (RunFig4WithConfig, RunFig5WithConfig,
+// RunFig7WithConfig, RunFig11WithConfig, RunFig12aWithConfig,
+// RunFig12bWithConfig, RunAblationsWithConfig, RunHeadlineWithConfig and
+// the Fault/Load/Rack/Fail/CollSweep runners, whose Observed forms also
+// return instrumentation) regenerate the paper's evaluation on any
+// Config. Every family with a CSV is declared once in the family registry
+// (LookupFamily, CampaignSchemas): cmd/netdimm-sim and the campaign
+// harness run them through Family.Run.
 package netdimm

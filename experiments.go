@@ -53,14 +53,6 @@ func (k NFKind) internal() netfunc.Kind {
 
 func simT(d time.Duration) sim.Time { return sim.FromDuration(d) }
 
-// mustValid asserts that a built-in configuration validates; the default
-// runners pass DefaultConfig, which is pinned valid by the test suite.
-func mustValid(err error) {
-	if err != nil {
-		panic(err)
-	}
-}
-
 // guard converts a panic escaping an experiment into an error, so the
 // public WithConfig entry points never panic on caller input: a
 // configuration that passes Validate but trips a deeper invariant (an
@@ -81,29 +73,23 @@ func guard(err *error) {
 
 // Fig4Result is one row of the Fig. 4 motivation experiment.
 type Fig4Result struct {
-	Size          int
-	DNIC          time.Duration
-	DNICZcpy      time.Duration
-	INIC          time.Duration
-	INICZcpy      time.Duration
-	PCIeShare     float64
-	PCIeShareZcpy float64
+	Size          int           `csv:"size"`
+	DNIC          time.Duration `csv:"dnic_ns"`
+	DNICZcpy      time.Duration `csv:"dnic_zcpy_ns"`
+	INIC          time.Duration `csv:"inic_ns"`
+	INICZcpy      time.Duration `csv:"inic_zcpy_ns"`
+	PCIeShare     float64       `csv:"pcie_share" fmt:"%.4f"`
+	PCIeShareZcpy float64       `csv:"pcie_share_zcpy" fmt:"%.4f"`
 }
 
-// RunFig4 regenerates Fig. 4: one-way latency of the four baseline NIC
-// configurations with the PCIe overhead share.
+// RunFig4WithConfig regenerates Fig. 4 on the system described by cfg:
+// one-way latency of the four baseline NIC configurations with the PCIe
+// overhead share.
 //
 // parallelism fans the sweep's independent cells over worker goroutines:
 // <= 0 uses all cores (runtime.GOMAXPROCS), 1 runs sequentially, N uses at
 // most N workers. Results are identical for every setting. The same knob
 // appears on every Run* sweep below.
-func RunFig4(sizes []int, switchLatency time.Duration, parallelism int) []Fig4Result {
-	out, err := RunFig4WithConfig(DefaultConfig(), sizes, switchLatency, parallelism)
-	mustValid(err)
-	return out
-}
-
-// RunFig4WithConfig is RunFig4 on the system described by cfg.
 func RunFig4WithConfig(cfg Config, sizes []int, switchLatency time.Duration, parallelism int) (_ []Fig4Result, err error) {
 	defer guard(&err)
 	if err := cfg.Validate(); err != nil {
@@ -130,22 +116,15 @@ func RunFig4WithConfig(cfg Config, sizes []int, switchLatency time.Duration, par
 
 // Fig5Result is one memory-pressure level of Fig. 5.
 type Fig5Result struct {
-	InjectDelay   time.Duration
-	BandwidthGbps float64
-	MemReadNs     float64
+	InjectDelay   time.Duration `csv:"inject_delay_ns"`
+	BandwidthGbps float64       `csv:"gbps" fmt:"%.2f"`
+	MemReadNs     float64       `csv:"mem_read_ns" fmt:"%.1f"`
 }
 
-// RunFig5 regenerates Fig. 5: iperf bandwidth under MLC-style memory
-// pressure. A nil delay slice uses a representative sweep from idle to
-// maximum pressure.
-func RunFig5(delays []time.Duration, parallelism int) []Fig5Result {
-	out, err := RunFig5WithConfig(DefaultConfig(), delays, parallelism)
-	mustValid(err)
-	return out
-}
-
-// RunFig5WithConfig is RunFig5 on the system described by cfg (its DRAM
-// timing, memory-controller config and link rate).
+// RunFig5WithConfig regenerates Fig. 5 on the system described by cfg (its
+// DRAM timing, memory-controller config and link rate): iperf bandwidth
+// under MLC-style memory pressure. A nil delay slice uses a representative
+// sweep from idle to maximum pressure.
 func RunFig5WithConfig(cfg Config, delays []time.Duration, parallelism int) (_ []Fig5Result, err error) {
 	defer guard(&err)
 	if err := cfg.Validate(); err != nil {
@@ -177,21 +156,14 @@ func RunFig5WithConfig(cfg Config, delays []time.Duration, parallelism int) (_ [
 
 // Fig7Result is one DMA memory request of the Fig. 7 locality study.
 type Fig7Result struct {
-	RelCacheline int
-	RelTime      time.Duration
-	Burst        int
+	RelCacheline int           `csv:"rel_cacheline"`
+	RelTime      time.Duration `csv:"rel_time_ns"`
+	Burst        int           `csv:"burst"`
 }
 
-// RunFig7 regenerates Fig. 7: the per-cacheline DMA request trace of six
-// received 1514B packets.
-func RunFig7() []Fig7Result {
-	out, err := RunFig7WithConfig(DefaultConfig())
-	mustValid(err)
-	return out
-}
-
-// RunFig7WithConfig is RunFig7 on the system described by cfg (its link
-// rate and PCIe DMA bandwidth).
+// RunFig7WithConfig regenerates Fig. 7 on the system described by cfg (its
+// link rate and PCIe DMA bandwidth): the per-cacheline DMA request trace
+// of six received 1514B packets.
 func RunFig7WithConfig(cfg Config) (_ []Fig7Result, err error) {
 	defer guard(&err)
 	if err := cfg.Validate(); err != nil {
@@ -215,57 +187,35 @@ type Fig11Result struct {
 	ReductionVsINIC float64
 }
 
-// RunFig11 regenerates Fig. 11: the one-way latency breakdown of dNIC,
-// iNIC and NetDIMM across packet sizes.
-func RunFig11(sizes []int, switchLatency time.Duration, parallelism int) ([]Fig11Result, error) {
-	return RunFig11WithConfig(DefaultConfig(), sizes, switchLatency, parallelism)
+// Fig11Row is one (size, architecture) line of the Fig. 11 CSV.
+type Fig11Row struct {
+	Size int    `csv:"size"`
+	Arch string `csv:"arch"`
+	LatencyBreakdown
 }
 
-// RunFig11WithConfig is RunFig11 on the system described by cfg.
-func RunFig11WithConfig(cfg Config, sizes []int, switchLatency time.Duration, parallelism int) (_ []Fig11Result, err error) {
-	defer guard(&err)
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if len(sizes) == 0 {
-		sizes = experiments.PaperSizes
-	}
-	rows, err := experiments.Fig11(cfg.spec(), sizes, simT(switchLatency), parallelism)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Fig11Result, len(rows))
-	for i, r := range rows {
-		out[i] = Fig11Result{
-			Size:            r.Size,
-			DNIC:            fromBreakdown(r.DNIC),
-			INIC:            fromBreakdown(r.INIC),
-			NetDIMM:         fromBreakdown(r.NetDIMM),
-			ReductionVsDNIC: r.ReductionVsDNIC(),
-			ReductionVsINIC: r.ReductionVsINIC(),
-		}
-	}
-	return out, nil
+// RunFig11WithConfig regenerates Fig. 11 on the system described by cfg:
+// the one-way latency breakdown of dNIC, iNIC and NetDIMM across packet
+// sizes (nil = the paper's sizes).
+func RunFig11WithConfig(cfg Config, sizes []int, switchLatency time.Duration, parallelism int) ([]Fig11Result, error) {
+	rows, _, err := RunFig11Observed(cfg, sizes, switchLatency, parallelism)
+	return rows, err
 }
 
 // Fig12aResult is one (cluster, switch latency) cell of Fig. 12(a).
 type Fig12aResult struct {
-	Cluster       ClusterName
-	SwitchLatency time.Duration
-	DNICMean      time.Duration
-	INICMean      time.Duration
-	NetDIMMMean   time.Duration
-	NormVsDNIC    float64
-	NormVsINIC    float64
+	Cluster       ClusterName   `csv:"cluster"`
+	SwitchLatency time.Duration `csv:"switch_ns"`
+	DNICMean      time.Duration `csv:"dnic_mean_ns"`
+	INICMean      time.Duration `csv:"inic_mean_ns"`
+	NetDIMMMean   time.Duration `csv:"netdimm_mean_ns"`
+	NormVsDNIC    float64       `csv:"norm_dnic" fmt:"%.4f"`
+	NormVsINIC    float64       `csv:"norm_inic" fmt:"%.4f"`
 }
 
-// RunFig12a regenerates Fig. 12(a): cluster trace replay across switch
-// latencies. packets controls the trace length per cell (0 = 1000).
-func RunFig12a(packets int, seed uint64, parallelism int) ([]Fig12aResult, error) {
-	return RunFig12aWithConfig(DefaultConfig(), packets, seed, parallelism)
-}
-
-// RunFig12aWithConfig is RunFig12a on the system described by cfg.
+// RunFig12aWithConfig regenerates Fig. 12(a) on the system described by
+// cfg: cluster trace replay across switch latencies. packets controls the
+// trace length per cell (0 = 1000).
 func RunFig12aWithConfig(cfg Config, packets int, seed uint64, parallelism int) (_ []Fig12aResult, err error) {
 	defer guard(&err)
 	if err := cfg.Validate(); err != nil {
@@ -295,22 +245,16 @@ func RunFig12aWithConfig(cfg Config, packets int, seed uint64, parallelism int) 
 
 // Fig12bResult is one (cluster, function) cell of Fig. 12(b).
 type Fig12bResult struct {
-	Cluster   ClusterName
-	Function  NFKind
-	INICNs    float64
-	NetDIMMNs float64
-	Norm      float64
+	Cluster   ClusterName `csv:"cluster"`
+	Function  NFKind      `csv:"nf"`
+	INICNs    float64     `csv:"inic_ns" fmt:"%.2f"`
+	NetDIMMNs float64     `csv:"netdimm_ns" fmt:"%.2f"`
+	Norm      float64     `csv:"norm" fmt:"%.4f"`
 }
 
-// RunFig12b regenerates Fig. 12(b): co-running application memory latency
-// under DPI and L3F, NetDIMM normalised to iNIC.
-func RunFig12b(parallelism int) []Fig12bResult {
-	out, err := RunFig12bWithConfig(DefaultConfig(), parallelism)
-	mustValid(err)
-	return out
-}
-
-// RunFig12bWithConfig is RunFig12b on the system described by cfg.
+// RunFig12bWithConfig regenerates Fig. 12(b) on the system described by
+// cfg: co-running application memory latency under DPI and L3F, NetDIMM
+// normalised to iNIC.
 func RunFig12bWithConfig(cfg Config, parallelism int) (_ []Fig12bResult, err error) {
 	defer guard(&err)
 	if err := cfg.Validate(); err != nil {
@@ -340,12 +284,8 @@ type HeadlineResult struct {
 	L3FBest                float64
 }
 
-// RunHeadline measures the paper's headline numbers.
-func RunHeadline(packets int, parallelism int) (HeadlineResult, error) {
-	return RunHeadlineWithConfig(DefaultConfig(), packets, parallelism)
-}
-
-// RunHeadlineWithConfig is RunHeadline on the system described by cfg.
+// RunHeadlineWithConfig measures the paper's headline numbers on the
+// system described by cfg.
 func RunHeadlineWithConfig(cfg Config, packets int, parallelism int) (_ HeadlineResult, err error) {
 	defer guard(&err)
 	if err := cfg.Validate(); err != nil {

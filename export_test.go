@@ -6,6 +6,7 @@ package netdimm
 
 import (
 	"io"
+	"testing"
 
 	"netdimm/internal/trace"
 	"netdimm/internal/workload"
@@ -19,4 +20,28 @@ func writeTraceForTest(w io.Writer, c ClusterName, seed uint64, n int) error {
 		Seed:    seed,
 		Count:   uint32(n),
 	}, events)
+}
+
+// must unwraps a (value, error) pair, failing tb on the error.
+func must[T any](tb testing.TB) func(T, error) T {
+	return func(v T, err error) T {
+		tb.Helper()
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return v
+	}
+}
+
+// Table 1 machines for the API tests.
+func testDNIC(tb testing.TB, zeroCopy bool) *Machine {
+	return must[*Machine](tb)(NewDNICWithConfig(DefaultConfig(), zeroCopy))
+}
+
+func testINIC(tb testing.TB, zeroCopy bool) *Machine {
+	return must[*Machine](tb)(NewINICWithConfig(DefaultConfig(), zeroCopy))
+}
+
+func testNetDIMM(tb testing.TB, seed uint64) *Machine {
+	return must[*Machine](tb)(NewNetDIMMWithConfig(DefaultConfig(), seed))
 }

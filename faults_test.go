@@ -8,7 +8,7 @@ import (
 )
 
 func TestRunFaultSweep(t *testing.T) {
-	rows, err := RunFaultSweep([]float64{0, 0.05}, 60, 1, 0)
+	rows, err := RunFaultSweepWithConfig(DefaultConfig(), []float64{0, 0.05}, 60, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestRunFaultSweepRejectsInvalidConfig(t *testing.T) {
 func TestRunFaultSweepWatchdogError(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
-		_, err := RunFaultSweep([]float64{1}, 30, 0, 1)
+		_, err := RunFaultSweepWithConfig(DefaultConfig(), []float64{1}, 30, 0, 1)
 		done <- err
 	}()
 	select {

@@ -40,6 +40,8 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -50,8 +52,7 @@ import (
 // minimal row is just {"Experiment": "fig11"}.
 type Experiment struct {
 	// Experiment names the family: one of the keys of the schema registry
-	// passed to Validate (fig4, fig11, fig12a, ablation, faultsweep,
-	// loadsweep, racksweep, failsweep in the root binding).
+	// passed to Validate.
 	Experiment string
 	// Scenario selects the simulated system: a named preset or a JSON
 	// config file path, exactly as the -scenario CLI flag ("" = table1).
@@ -61,6 +62,14 @@ type Experiment struct {
 	Repeats int
 	// Seed overrides the grid-level base seed for this row (0 = inherit).
 	Seed uint64
+	Axes
+}
+
+// Axes are the inputs an experiment family can consume. A grid row and a
+// planned cell carry them verbatim, and the CLI fills the same struct from
+// its flags. Zero values select the family default; Schema.Check rejects
+// an axis the family's schema does not list.
+type Axes struct {
 	// Packets is the per-cell packet budget for trace/sweep families
 	// (0 = the family default).
 	Packets int
@@ -98,6 +107,63 @@ type Experiment struct {
 	Trace bool
 }
 
+// Validate checks every axis value on its own, independent of family.
+func (a Axes) Validate() error {
+	if a.Packets < 0 || a.Hosts < 0 || a.Shards < 0 || a.SwitchNs < 0 || a.Payload < 0 {
+		return fmt.Errorf("Packets/Hosts/Shards/SwitchNs/Payload must be non-negative")
+	}
+	for _, s := range a.Sizes {
+		if s <= 0 {
+			return fmt.Errorf("packet size %d must be positive", s)
+		}
+	}
+	for _, r := range a.Rates {
+		if r < 0 || math.IsNaN(r) || math.IsInf(r, 0) {
+			return fmt.Errorf("rate %g must be a finite non-negative fraction of line rate", r)
+		}
+	}
+	for _, r := range a.Racks {
+		if r < 1 {
+			return fmt.Errorf("rack count %d must be at least 1", r)
+		}
+	}
+	if _, err := a.OutageDurations(); err != nil {
+		return err
+	}
+	for _, r := range a.Ranks {
+		if r < 2 {
+			return fmt.Errorf("rank count %d must be at least 2", r)
+		}
+	}
+	for _, op := range a.Ops {
+		switch op {
+		case "allreduce", "broadcast", "reducescatter":
+		default:
+			return fmt.Errorf("unknown collective op %q (want allreduce, broadcast or reducescatter)", op)
+		}
+	}
+	return nil
+}
+
+// OutageDurations parses the Outages axis; Go duration syntax plus a bare
+// "0" is accepted. An empty axis yields nil (the family default grid).
+func (a Axes) OutageDurations() ([]time.Duration, error) {
+	var out []time.Duration
+	for _, o := range a.Outages {
+		s := strings.TrimSpace(o)
+		if s == "0" {
+			out = append(out, 0)
+			continue
+		}
+		d, err := time.ParseDuration(s)
+		if err != nil {
+			return nil, fmt.Errorf("bad outage duration %q: %v (use Go duration syntax, e.g. \"20us\", or \"0\")", o, err)
+		}
+		out = append(out, d)
+	}
+	return out, nil
+}
+
 // Grid is a declarative experiment campaign: the JSON document the
 // `campaign` subcommand loads via -grid.
 type Grid struct {
@@ -117,12 +183,41 @@ type Grid struct {
 	Experiments []Experiment
 }
 
-// Schema describes the CSV contract of one experiment family: the exact
-// header and a lower bound on data rows. The runner validates every cell's
-// CSV against its family schema before declaring the campaign successful.
+// Schema describes the contract of one experiment family: the axes a grid
+// row may set, the exact CSV header, a lower bound on data rows and, when
+// the axes determine it, the exact row count. The runner validates every
+// cell's CSV against its family schema before declaring the campaign
+// successful.
 type Schema struct {
+	Axes    []string
 	Header  []string
 	MinRows int
+	// WantRows returns the exact data-row count a cell with the given axes
+	// produces, or 0 when only MinRows applies. Nil means always 0.
+	WantRows func(Axes) int
+}
+
+// Check validates axes for the named family: every value must be well
+// formed, and every axis set must be one the schema lists.
+func (s Schema) Check(family string, a Axes) error {
+	if err := a.Validate(); err != nil {
+		return err
+	}
+	var extra []string
+	v := reflect.ValueOf(a)
+	for i := 0; i < v.NumField(); i++ {
+		if name := v.Type().Field(i).Name; !v.Field(i).IsZero() && !slices.Contains(s.Axes, name) {
+			extra = append(extra, name)
+		}
+	}
+	if len(extra) == 0 {
+		return nil
+	}
+	accepts := "no axes"
+	if len(s.Axes) > 0 {
+		accepts = strings.Join(s.Axes, ", ")
+	}
+	return fmt.Errorf("%s does not consume %s (it accepts %s)", family, strings.Join(extra, ", "), accepts)
 }
 
 // ReadGrid decodes a campaign grid from JSON. Unknown fields are rejected
@@ -173,46 +268,15 @@ func (g Grid) Validate(known map[string]Schema) error {
 		if e.Experiment == "" {
 			return fmt.Errorf("campaign: experiments[%d]: missing Experiment family (known: %s)", i, familyList(known))
 		}
-		if _, ok := known[e.Experiment]; !ok {
+		schema, ok := known[e.Experiment]
+		if !ok {
 			return fmt.Errorf("campaign: experiments[%d]: unknown experiment family %q (known: %s)", i, e.Experiment, familyList(known))
 		}
-		if e.Repeats < 0 || e.Packets < 0 || e.Hosts < 0 || e.Shards < 0 || e.SwitchNs < 0 {
-			return at("Repeats/Packets/Hosts/Shards/SwitchNs must be non-negative")
+		if e.Repeats < 0 {
+			return at("Repeats %d must be non-negative", e.Repeats)
 		}
-		for _, s := range e.Sizes {
-			if s <= 0 {
-				return at("packet size %d must be positive", s)
-			}
-		}
-		for _, r := range e.Rates {
-			if r < 0 || math.IsNaN(r) || math.IsInf(r, 0) {
-				return at("rate %g must be a finite non-negative fraction of line rate", r)
-			}
-		}
-		for _, r := range e.Racks {
-			if r < 1 {
-				return at("rack count %d must be at least 1", r)
-			}
-		}
-		for _, o := range e.Outages {
-			if _, err := parseOutage(o); err != nil {
-				return at("bad outage duration %q: %v (use Go duration syntax, e.g. \"20us\", or \"0\")", o, err)
-			}
-		}
-		if e.Payload < 0 {
-			return at("Payload %d must be non-negative", e.Payload)
-		}
-		for _, r := range e.Ranks {
-			if r < 2 {
-				return at("rank count %d must be at least 2", r)
-			}
-		}
-		for _, op := range e.Ops {
-			switch op {
-			case "allreduce", "broadcast", "reducescatter":
-			default:
-				return at("unknown collective op %q (want allreduce, broadcast or reducescatter)", op)
-			}
+		if err := schema.Check(e.Experiment, e.Axes); err != nil {
+			return at("%v", err)
 		}
 	}
 	return nil
@@ -226,14 +290,6 @@ func familyList(known map[string]Schema) string {
 	}
 	sort.Strings(names)
 	return strings.Join(names, ", ")
-}
-
-// parseOutage accepts Go duration syntax plus a bare "0".
-func parseOutage(s string) (time.Duration, error) {
-	if strings.TrimSpace(s) == "0" {
-		return 0, nil
-	}
-	return time.ParseDuration(strings.TrimSpace(s))
 }
 
 // Cell is one planned unit of campaign work: a fully resolved
@@ -255,27 +311,13 @@ type Cell struct {
 	// is part of the reproducibility contract (golden-pinned), so two
 	// plans of the same grid always agree.
 	Seed uint64
-	// The remaining fields copy the grid row's axes verbatim, with
-	// Outages parsed to concrete durations.
-	Packets  int
-	Sizes    []int
-	SwitchNs int
-	Rates    []float64
-	Racks    []int
-	Outages  []time.Duration
-	Hosts    int
-	Shards   int
-	Ranks    []int
-	Ops      []string
-	Payload  int
-	Metrics  bool
-	Trace    bool
+	// Axes copy the grid row's axes verbatim.
+	Axes
 }
 
 // Plan expands the grid into its deterministic cell list. The grid must
-// have passed Validate; a malformed outage still returns an error rather
-// than panicking.
-func (g Grid) Plan() ([]Cell, error) {
+// have passed Validate.
+func (g Grid) Plan() []Cell {
 	var cells []Cell
 	used := map[string]bool{}
 	baseSeed := g.Seed
@@ -295,14 +337,6 @@ func (g Grid) Plan() ([]Cell, error) {
 		if e.Seed != 0 {
 			base = e.Seed
 		}
-		var outages []time.Duration
-		for _, o := range e.Outages {
-			d, err := parseOutage(o)
-			if err != nil {
-				return nil, fmt.Errorf("campaign: experiments[%d] (%s): bad outage %q: %w", ri, e.Experiment, o, err)
-			}
-			outages = append(outages, d)
-		}
 		for r := 0; r < reps; r++ {
 			// Two grid rows with the same family and scenario would
 			// produce colliding file stems; suffix the later row's cells
@@ -312,31 +346,18 @@ func (g Grid) Plan() ([]Cell, error) {
 				name = fmt.Sprintf("%s-%s-x%d-r%d", e.Experiment, scenarioSlug(e.Scenario), ri, r)
 			}
 			used[name] = true
-			c := Cell{
+			cells = append(cells, Cell{
 				Index:      len(cells),
 				Name:       name,
 				Experiment: e.Experiment,
 				Scenario:   e.Scenario,
 				Repeat:     r,
 				Seed:       base + uint64(1000*ri+r),
-				Packets:    e.Packets,
-				Sizes:      e.Sizes,
-				SwitchNs:   e.SwitchNs,
-				Rates:      e.Rates,
-				Racks:      e.Racks,
-				Outages:    outages,
-				Hosts:      e.Hosts,
-				Shards:     e.Shards,
-				Ranks:      e.Ranks,
-				Ops:        e.Ops,
-				Payload:    e.Payload,
-				Metrics:    e.Metrics,
-				Trace:      e.Trace,
-			}
-			cells = append(cells, c)
+				Axes:       e.Axes,
+			})
 		}
 	}
-	return cells, nil
+	return cells
 }
 
 // scenarioSlug turns a scenario argument into a filename-safe stem:

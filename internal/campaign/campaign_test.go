@@ -6,11 +6,14 @@ import (
 	"time"
 )
 
+func two(Axes) int { return 2 }
+
 // testSchemas is a minimal family registry for grid validation tests.
 func testSchemas() map[string]Schema {
 	return map[string]Schema{
-		"fig11":     {Header: []string{"a", "b"}, MinRows: 1},
-		"failsweep": {Header: []string{"a", "b"}, MinRows: 1},
+		"fig11":     {Axes: []string{"Packets", "Sizes", "Rates", "Racks", "Metrics"}, Header: []string{"a", "b"}, MinRows: 1, WantRows: two},
+		"failsweep": {Axes: []string{"Outages", "Metrics"}, Header: []string{"a", "b"}, MinRows: 1, WantRows: two},
+		"fig7":      {Header: []string{"a", "b"}, MinRows: 1},
 	}
 }
 
@@ -33,12 +36,16 @@ func TestGridValidate(t *testing.T) {
 		{"missing family", Grid{Experiments: []Experiment{{}}}, "missing Experiment family"},
 		{"negative repeats", Grid{Repeats: -1, Experiments: []Experiment{{Experiment: "fig11"}}}, "Repeats -1"},
 		{"negative parallelism", Grid{Parallelism: -2, Experiments: []Experiment{{Experiment: "fig11"}}}, "Parallelism -2"},
-		{"negative packets", Grid{Experiments: []Experiment{{Experiment: "fig11", Packets: -5}}}, "non-negative"},
-		{"bad size", Grid{Experiments: []Experiment{{Experiment: "fig11", Sizes: []int{0}}}}, "packet size 0"},
-		{"bad rate", Grid{Experiments: []Experiment{{Experiment: "fig11", Rates: []float64{-0.1}}}}, "rate -0.1"},
-		{"bad rack", Grid{Experiments: []Experiment{{Experiment: "fig11", Racks: []int{0}}}}, "rack count 0"},
-		{"bad outage", Grid{Experiments: []Experiment{{Experiment: "failsweep", Outages: []string{"5parsecs"}}}}, `bad outage duration "5parsecs"`},
-		{"zero outage ok", Grid{Experiments: []Experiment{{Experiment: "failsweep", Outages: []string{"0", "20us"}}}}, ""},
+		{"negative packets", Grid{Experiments: []Experiment{{Experiment: "fig11", Axes: Axes{Packets: -5}}}}, "non-negative"},
+		{"bad size", Grid{Experiments: []Experiment{{Experiment: "fig11", Axes: Axes{Sizes: []int{0}}}}}, "packet size 0"},
+		{"bad rate", Grid{Experiments: []Experiment{{Experiment: "fig11", Axes: Axes{Rates: []float64{-0.1}}}}}, "rate -0.1"},
+		{"bad rack", Grid{Experiments: []Experiment{{Experiment: "fig11", Axes: Axes{Racks: []int{0}}}}}, "rack count 0"},
+		{"bad outage", Grid{Experiments: []Experiment{{Experiment: "failsweep", Axes: Axes{Outages: []string{"5parsecs"}}}}}, `bad outage duration "5parsecs"`},
+		{"unconsumed axis", Grid{Experiments: []Experiment{{Experiment: "failsweep", Axes: Axes{Racks: []int{2}, Metrics: true, Hosts: 4}}}},
+			"experiments[0] (failsweep): failsweep does not consume Racks, Hosts (it accepts Outages, Metrics)"},
+		{"axis-free family", Grid{Experiments: []Experiment{{Experiment: "fig7", Axes: Axes{Trace: true}}}},
+			"fig7 does not consume Trace (it accepts no axes)"},
+		{"zero outage ok", Grid{Experiments: []Experiment{{Experiment: "failsweep", Axes: Axes{Outages: []string{"0", "20us"}}}}}, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -70,14 +77,11 @@ func TestPlanSeedsAndNames(t *testing.T) {
 		Repeats: 2,
 		Experiments: []Experiment{
 			{Experiment: "fig11"},
-			{Experiment: "failsweep", Scenario: "scenarios/clos-2x4.json", Outages: []string{"0", "20us"}},
+			{Experiment: "failsweep", Scenario: "scenarios/clos-2x4.json", Axes: Axes{Outages: []string{"0", "20us"}}},
 			{Experiment: "fig11", Seed: 7, Repeats: 1},
 		},
 	}
-	cells, err := g.Plan()
-	if err != nil {
-		t.Fatal(err)
-	}
+	cells := g.Plan()
 	if len(cells) != 5 {
 		t.Fatalf("want 5 cells (2+2+1), got %d", len(cells))
 	}
@@ -99,17 +103,14 @@ func TestPlanSeedsAndNames(t *testing.T) {
 			t.Errorf("cell %d Index = %d", i, c.Index)
 		}
 	}
-	if cells[2].Outages[1] != 20*time.Microsecond {
-		t.Errorf("outage parse: got %v, want 20µs", cells[2].Outages[1])
+	if d, err := cells[2].OutageDurations(); err != nil || d[1] != 20*time.Microsecond {
+		t.Errorf("outage parse: got %v (%v), want 20µs", d, err)
 	}
 }
 
 func TestPlanDefaults(t *testing.T) {
 	g := Grid{Experiments: []Experiment{{Experiment: "fig11"}}}
-	cells, err := g.Plan()
-	if err != nil {
-		t.Fatal(err)
-	}
+	cells := g.Plan()
 	if len(cells) != 1 {
 		t.Fatalf("want 1 cell, got %d", len(cells))
 	}

@@ -15,12 +15,10 @@ import (
 )
 
 // Result is what an Executor returns for one cell: the cell's CSV
-// document, the exact data-row count the binding expects the CSV to have
-// (0 when only the schema lower bound applies), the optional metrics
-// registry CSV, and the SHA-256 of the cell's resolved configuration.
+// document, the optional metrics registry CSV and trace JSON, and the
+// SHA-256 of the cell's resolved configuration.
 type Result struct {
 	CSV        string
-	WantRows   int
 	MetricsCSV string
 	TraceJSON  string
 	ConfigHash string
@@ -76,10 +74,7 @@ type RunReport struct {
 // summary, and Run returns an error naming the first failure so callers
 // exit non-zero.
 func (r *Runner) Run() (*RunReport, error) {
-	cells, err := r.Grid.Plan()
-	if err != nil {
-		return nil, err
-	}
+	cells := r.Grid.Plan()
 	dir, stamp, err := r.makeDir()
 	if err != nil {
 		return nil, err
@@ -115,7 +110,11 @@ func (r *Runner) Run() (*RunReport, error) {
 			if !ok {
 				err = fmt.Errorf("no schema registered for family %q", c.Experiment)
 			} else {
-				rows[i], err = ValidateCSV(res.CSV, schema, res.WantRows)
+				want := 0
+				if schema.WantRows != nil {
+					want = schema.WantRows(c.Axes)
+				}
+				rows[i], err = ValidateCSV(res.CSV, schema, want)
 			}
 		}
 		results[i], errs[i] = res, err
@@ -159,25 +158,25 @@ func (r *Runner) Run() (*RunReport, error) {
 			man.Cells = append(man.Cells, rec)
 			continue
 		}
-		rec.CSV = filepath.Join("csv", c.Name+".csv")
-		if err := os.WriteFile(filepath.Join(dir, rec.CSV), []byte(results[i].CSV), 0o644); err != nil {
-			return nil, fmt.Errorf("campaign: %w", err)
+		artifacts := []struct {
+			path *string
+			sub  string
+			ext  string
+			data string
+		}{
+			{&rec.CSV, "csv", ".csv", results[i].CSV},
+			{&rec.MetricsCSV, "metrics", ".csv", results[i].MetricsCSV},
+			{&rec.Trace, "trace", ".json", results[i].TraceJSON},
 		}
-		if results[i].MetricsCSV != "" {
-			rec.MetricsCSV = filepath.Join("metrics", c.Name+".csv")
-			if err := os.MkdirAll(filepath.Join(dir, "metrics"), 0o755); err != nil {
+		for _, a := range artifacts {
+			if a.data == "" {
+				continue
+			}
+			*a.path = filepath.Join(a.sub, c.Name+a.ext)
+			if err := os.MkdirAll(filepath.Join(dir, a.sub), 0o755); err != nil {
 				return nil, fmt.Errorf("campaign: %w", err)
 			}
-			if err := os.WriteFile(filepath.Join(dir, rec.MetricsCSV), []byte(results[i].MetricsCSV), 0o644); err != nil {
-				return nil, fmt.Errorf("campaign: %w", err)
-			}
-		}
-		if results[i].TraceJSON != "" {
-			rec.Trace = filepath.Join("trace", c.Name+".json")
-			if err := os.MkdirAll(filepath.Join(dir, "trace"), 0o755); err != nil {
-				return nil, fmt.Errorf("campaign: %w", err)
-			}
-			if err := os.WriteFile(filepath.Join(dir, rec.Trace), []byte(results[i].TraceJSON), 0o644); err != nil {
+			if err := os.WriteFile(filepath.Join(dir, *a.path), []byte(a.data), 0o644); err != nil {
 				return nil, fmt.Errorf("campaign: %w", err)
 			}
 		}
@@ -194,9 +193,11 @@ func (r *Runner) Run() (*RunReport, error) {
 	log.printf("campaign %s: %d/%d cells ok, outputs in %s", name, len(cells)-failed, len(cells), dir)
 
 	rep := &RunReport{Dir: dir, Manifest: man, Summary: summary, Failed: failed}
-	if failed > 0 {
-		return rep, fmt.Errorf("campaign: %d of %d cells failed (first: %s: %v)",
-			failed, len(cells), firstFailure(cells, errs), firstErr(errs))
+	for i, err := range errs {
+		if err != nil {
+			return rep, fmt.Errorf("campaign: %d of %d cells failed (first: %s: %v)",
+				failed, len(cells), cells[i].Name, err)
+		}
 	}
 	return rep, nil
 }
@@ -290,24 +291,6 @@ func writeJSON(path string, v any) error {
 		return fmt.Errorf("campaign: %w", err)
 	}
 	return nil
-}
-
-func firstErr(errs []error) error {
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func firstFailure(cells []Cell, errs []error) string {
-	for i, err := range errs {
-		if err != nil {
-			return cells[i].Name
-		}
-	}
-	return ""
 }
 
 func orDash(s string) string {

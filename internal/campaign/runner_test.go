@@ -13,7 +13,7 @@ import (
 // seed, so runner tests can assert content without running simulations.
 func fakeExec(c Cell) (Result, error) {
 	doc := fmt.Sprintf("a,b\n%d,%s\n%d,%s\n", c.Seed, c.Name, c.Seed+1, c.Experiment)
-	res := Result{CSV: doc, WantRows: 2, ConfigHash: SHA256Hex([]byte(c.Scenario))}
+	res := Result{CSV: doc, ConfigHash: SHA256Hex([]byte(c.Scenario))}
 	if c.Metrics {
 		res.MetricsCSV = "cell,kind,metric,value,max,points\nx,counter,m,1,,\n"
 	}
@@ -26,7 +26,7 @@ func testGrid() Grid {
 		Repeats: 2,
 		Experiments: []Experiment{
 			{Experiment: "fig11"},
-			{Experiment: "failsweep", Metrics: true},
+			{Experiment: "failsweep", Axes: Axes{Metrics: true}},
 		},
 	}
 }

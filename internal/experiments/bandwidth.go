@@ -45,9 +45,7 @@ func Bandwidth(sp spec.Spec, packets int, parallelism int) ([]BandwidthResult, e
 	}
 
 	// Each architecture is an independent cell with its own machine.
-	out := make([]BandwidthResult, 3)
-	errs := make([]error, 3)
-	forEachCell(3, parallelism, func(i int) {
+	return sweep(3, parallelism, func(i int) (BandwidthResult, error) {
 		d := sp.MustDerive()
 		gap := d.Link.SerializeTime(nic.MTU) // line-rate arrival spacing
 		wireBytes := float64(nic.MTU + nic.EthernetOverheadBytes)
@@ -60,15 +58,14 @@ func Bandwidth(sp spec.Spec, packets int, parallelism int) ([]BandwidthResult, e
 			// measure the serialized driver cost as the conservative bound.
 			nd, err := d.NewNetDIMM(11)
 			if err != nil {
-				errs[i] = err
-				return
+				return BandwidthResult{}, err
 			}
 			var busy sim.Time
 			for p := 0; p < packets; p++ {
 				busy += driverSerial(nd.RX(nic.Packet{Size: nic.MTU}))
 			}
-			out[i] = result("NetDIMM", gap, busy/sim.Time(packets), wireBytes,
-				d.Core.LocalTiming.BandwidthBytesPerSec)
+			return result("NetDIMM", gap, busy/sim.Time(packets), wireBytes,
+				d.Core.LocalTiming.BandwidthBytesPerSec), nil
 		default:
 			// dNIC and iNIC: analytic per-packet RX costs.
 			var m driver.Machine
@@ -81,13 +78,9 @@ func Bandwidth(sp spec.Spec, packets int, parallelism int) ([]BandwidthResult, e
 			for p := 0; p < 32; p++ {
 				sum += driverSerial(m.RX(nic.Packet{Size: nic.MTU}))
 			}
-			out[i] = result(m.Name(), gap, sum/32, wireBytes, 0)
+			return result(m.Name(), gap, sum/32, wireBytes, 0), nil
 		}
 	})
-	if err := firstError(errs); err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // driverSerial is the per-packet work that cannot overlap with the next

@@ -98,28 +98,23 @@ type CollRow struct {
 	LinkUtilization float64
 }
 
-// CollSweep runs the collective sweep: for every (architecture, operation,
-// ranks) cell it executes the operation's full dependency graph over the
-// spec's fabric and reports completion-time rows. Nil axes use all three
-// operations and DefaultCollRankGrid; a spec whose Collective block pins
-// Op or Ranks sweeps only that value. Each cell verifies the executed data
-// plane against the sequential reference, so a sweep that returns rows has
-// also proven the collective computed the right answer.
+// CollSweepObserved runs the collective sweep: for every (architecture,
+// operation, ranks) cell it executes the operation's full dependency graph
+// over the spec's fabric and reports completion-time rows. Nil axes use all
+// three operations and DefaultCollRankGrid; a spec whose Collective block
+// pins Op or Ranks sweeps only that value. Each cell verifies the executed
+// data plane against the sequential reference, so a sweep that returns rows
+// has also proven the collective computed the right answer.
 //
 // Cells are deterministic: each builds its own engines, fabric, machines
 // and payloads from per-cell seeds, so results are identical sequentially,
 // in parallel, and at every Load.Shards count.
-func CollSweep(sp spec.Spec, ranks []int, ops []string, cfg CollSweepConfig, parallelism int) ([]CollRow, error) {
-	rows, _, err := CollSweepObserved(sp, ranks, ops, cfg, parallelism, obs.Spec{})
-	return rows, err
-}
-
-// CollSweepObserved is CollSweep with the observability plane: when ospec
-// enables collection, each cell gets a Cell labelled
-// "collsweep/<arch>/op=<op>/ranks=<n>" with one trace track per rank
-// (step spans), delivery/drop/mark counters, completion and skew gauges
-// and engine probes. A zero ospec yields a nil observer and the exact
-// CollSweep behaviour.
+//
+// When ospec enables collection, each cell gets a Cell labelled
+// "collsweep/<arch>/op=<op>/ranks=<n>" with one trace track per rank (step
+// spans), delivery/drop/mark counters, completion and skew gauges and
+// engine probes. A zero ospec yields a nil observer and an uninstrumented
+// run.
 func CollSweepObserved(sp spec.Spec, ranks []int, ops []string, cfg CollSweepConfig, parallelism int, ospec obs.Spec) ([]CollRow, *obs.Observer, error) {
 	cfg = cfg.withDefaults()
 	if len(ops) == 0 {
@@ -163,27 +158,19 @@ func CollSweepObserved(sp spec.Spec, ranks []int, ops []string, cfg CollSweepCon
 		i %= len(ops) * len(ranks)
 		return arch, ops[i/len(ranks)], ranks[i%len(ranks)]
 	}
-	var o *obs.Observer
-	if ospec.Enabled() {
-		labels := make([]string, n)
-		for i := range labels {
-			arch, op, rk := axes(i)
-			labels[i] = fmt.Sprintf("collsweep/%s/op=%s/ranks=%d", arch, op, rk)
-		}
-		o = obs.New(ospec, labels...)
-	}
-	rows := make([]CollRow, n)
-	errs := make([]error, n)
-	forEachCell(n, parallelism, func(i int) {
+	o := newObserver(ospec, n, func(i int) string {
+		arch, op, rk := axes(i)
+		return fmt.Sprintf("collsweep/%s/op=%s/ranks=%d", arch, op, rk)
+	})
+	rows, err := sweep(n, parallelism, func(i int) (CollRow, error) {
 		arch, opName, rk := axes(i)
 		row, err := collCell(sp, arch, opName, rk, shape, cfg, o.Cell(i))
 		if err != nil {
-			errs[i] = fmt.Errorf("collsweep: %s op=%s ranks=%d: %w", arch, opName, rk, err)
-			return
+			err = fmt.Errorf("collsweep: %s op=%s ranks=%d: %w", arch, opName, rk, err)
 		}
-		rows[i] = row
+		return row, err
 	})
-	if err := firstError(errs); err != nil {
+	if err != nil {
 		return nil, nil, err
 	}
 	return rows, o, nil

@@ -20,7 +20,7 @@ func collTestSpec() spec.Spec {
 
 func TestCollSweepRows(t *testing.T) {
 	sp := collTestSpec()
-	rows, err := CollSweep(sp, []int{4, 8}, nil, CollSweepConfig{Seed: 3}, 4)
+	rows, _, err := CollSweepObserved(sp, []int{4, 8}, nil, CollSweepConfig{Seed: 3}, 4, obs.Spec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestCollSweepShardedDeterminism(t *testing.T) {
 	for _, shards := range []int{0, 1, 2, 4} {
 		sp := base
 		sp.Load.Shards = shards
-		rows, err := CollSweep(sp, []int{4, 5, 8}, nil, CollSweepConfig{Seed: 7}, 4)
+		rows, _, err := CollSweepObserved(sp, []int{4, 5, 8}, nil, CollSweepConfig{Seed: 7}, 4, obs.Spec{})
 		if err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)
 		}
@@ -120,11 +120,11 @@ func TestCollSweepShardedDeterminism(t *testing.T) {
 // TestCollSweepParallelDeterminism pins the cell-parallelism contract.
 func TestCollSweepParallelDeterminism(t *testing.T) {
 	sp := collTestSpec()
-	seq, err := CollSweep(sp, []int{4, 8}, []string{"allreduce"}, CollSweepConfig{Seed: 5}, 1)
+	seq, _, err := CollSweepObserved(sp, []int{4, 8}, []string{"allreduce"}, CollSweepConfig{Seed: 5}, 1, obs.Spec{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := CollSweep(sp, []int{4, 8}, []string{"allreduce"}, CollSweepConfig{Seed: 5}, 8)
+	par, _, err := CollSweepObserved(sp, []int{4, 8}, []string{"allreduce"}, CollSweepConfig{Seed: 5}, 8, obs.Spec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestCollSweepStallDiagnostic(t *testing.T) {
 	sp.NetworkGbps = 1
 	sp.Load.PortBuffer = 1
 	sp.Collective.PayloadBytes = 64 << 10
-	_, err := CollSweep(sp, []int{4}, []string{"broadcast"}, CollSweepConfig{Seed: 1}, 2)
+	_, _, err := CollSweepObserved(sp, []int{4}, []string{"broadcast"}, CollSweepConfig{Seed: 1}, 2, obs.Spec{})
 	if err == nil {
 		t.Fatal("1-deep port buffer produced no stall")
 	}
@@ -155,7 +155,7 @@ func TestCollSweepPinnedSpec(t *testing.T) {
 	sp := collTestSpec()
 	sp.Collective.Op = "broadcast"
 	sp.Collective.Ranks = 4
-	rows, err := CollSweep(sp, nil, nil, CollSweepConfig{Seed: 2}, 2)
+	rows, _, err := CollSweepObserved(sp, nil, nil, CollSweepConfig{Seed: 2}, 2, obs.Spec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,10 +171,10 @@ func TestCollSweepPinnedSpec(t *testing.T) {
 
 func TestCollSweepRejectsBadAxes(t *testing.T) {
 	sp := collTestSpec()
-	if _, err := CollSweep(sp, []int{1}, nil, CollSweepConfig{}, 1); err == nil {
+	if _, _, err := CollSweepObserved(sp, []int{1}, nil, CollSweepConfig{}, 1, obs.Spec{}); err == nil {
 		t.Fatal("rank count 1 accepted")
 	}
-	if _, err := CollSweep(sp, nil, []string{"alltoall"}, CollSweepConfig{}, 1); err == nil {
+	if _, _, err := CollSweepObserved(sp, nil, []string{"alltoall"}, CollSweepConfig{}, 1, obs.Spec{}); err == nil {
 		t.Fatal("unknown op accepted")
 	}
 }

@@ -36,7 +36,8 @@ func TestParallelMatchesSequential(t *testing.T) {
 			return Fig5(spec.TableOne(), []sim.Time{sim.Second, 100 * sim.Nanosecond, 5 * sim.Nanosecond}, fig5cfg, p), nil
 		}},
 		{"Fig11", func(p int) (any, error) {
-			return Fig11(spec.TableOne(), []int{64, 1024}, 100*sim.Nanosecond, p)
+			rows, _, err := Fig11Observed(spec.TableOne(), []int{64, 1024}, 100*sim.Nanosecond, p, obs.Spec{})
+			return rows, err
 		}},
 		{"Fig12a", func(p int) (any, error) {
 			return Fig12a(spec.TableOne(), workload.Clusters, PaperSwitchLatencies[:2], 60, 3, p)
@@ -60,7 +61,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 		{"LoadSweep", func(p int) (any, error) {
 			cfg := DefaultLoadSweepConfig()
 			cfg.Packets = 120
-			rows, knees, err := LoadSweep(spec.TableOne(), []float64{0.05, 0.14, 0.2}, cfg, p)
+			rows, knees, _, err := LoadSweepObserved(spec.TableOne(), []float64{0.05, 0.14, 0.2}, cfg, p, obs.Spec{})
 			return []any{rows, knees}, err
 		}},
 		{"RackSweep", func(p int) (any, error) {
@@ -68,7 +69,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 			sp.Load.Hosts = 12
 			cfg := DefaultRackSweepConfig()
 			cfg.Packets = 240
-			rows, knees, err := RackSweep(sp, []int{2}, []float64{0.1, 0.5}, cfg, p)
+			rows, knees, _, err := RackSweepObserved(sp, []int{2}, []float64{0.1, 0.5}, cfg, p, obs.Spec{})
 			return []any{rows, knees}, err
 		}},
 		{"FailSweep", func(p int) (any, error) {
@@ -76,7 +77,8 @@ func TestParallelMatchesSequential(t *testing.T) {
 			sp.Load.Hosts = 12
 			cfg := DefaultFailSweepConfig()
 			cfg.Packets = 240
-			return FailSweep(sp, []sim.Time{0, 20 * sim.Microsecond}, cfg, p)
+			rows, _, err := FailSweepObserved(sp, []sim.Time{0, 20 * sim.Microsecond}, cfg, p, obs.Spec{})
+			return rows, err
 		}},
 		{"FaultSweep", func(p int) (any, error) {
 			sp := spec.TableOne()
@@ -86,7 +88,8 @@ func TestParallelMatchesSequential(t *testing.T) {
 			sp.Fault.MemMaxRetries = 4
 			cfg := DefaultFaultSweepConfig()
 			cfg.Packets = 80
-			return FaultSweep(sp, []float64{0, 0.02, 0.1}, cfg, p)
+			rows, _, err := FaultSweepObserved(sp, []float64{0, 0.02, 0.1}, cfg, p, obs.Spec{})
+			return rows, err
 		}},
 	}
 	for _, tc := range cases {

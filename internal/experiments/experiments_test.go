@@ -7,6 +7,7 @@ import (
 	"netdimm/internal/ethernet"
 	"netdimm/internal/netfunc"
 	"netdimm/internal/nic"
+	"netdimm/internal/obs"
 	"netdimm/internal/sim"
 	"netdimm/internal/spec"
 	"netdimm/internal/stats"
@@ -52,7 +53,7 @@ func TestFig4Shapes(t *testing.T) {
 // ---- Fig. 11 / headline latency ----
 
 func TestFig11PaperShape(t *testing.T) {
-	rows, err := Fig11(spec.TableOne(), Fig11Sizes, 100*sim.Nanosecond, 1)
+	rows, _, err := Fig11Observed(spec.TableOne(), Fig11Sizes, 100*sim.Nanosecond, 1, obs.Spec{})
 	if err != nil {
 		t.Fatal(err)
 	}

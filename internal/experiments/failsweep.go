@@ -167,7 +167,7 @@ type FailRow struct {
 	Hist *stats.Histogram
 }
 
-// FailSweep runs the failure sweep: for every (architecture, outage
+// FailSweepObserved runs the failure sweep: for every (architecture, outage
 // duration) cell, the spec's hosts (default 32 on a 2-spine/4-leaf clos)
 // exchange cluster-mix traffic at a fixed offered load while spine
 // cfg.Spine is down for [cfg.OutageStart, cfg.OutageStart+duration), and
@@ -177,16 +177,11 @@ type FailRow struct {
 // Cells are deterministic: each builds its own engine, fabric, health
 // schedule and streams from per-cell seeds, so results are identical
 // sequentially, in parallel, and at every Load.Shards count.
-func FailSweep(sp spec.Spec, outages []sim.Time, cfg FailSweepConfig, parallelism int) ([]FailRow, error) {
-	rows, _, err := FailSweepObserved(sp, outages, cfg, parallelism, obs.Spec{})
-	return rows, err
-}
-
-// FailSweepObserved is FailSweep with the observability plane: when ospec
-// enables collection, each cell gets a Cell labelled
+//
+// When ospec enables collection, each cell gets a Cell labelled
 // "failsweep/<arch>/outage=<dur>" with delivery, drop, reroute and
-// retransmit counters, the merged fault-counter block and engine probes.
-// A zero ospec yields a nil observer and the exact FailSweep behaviour.
+// retransmit counters, the merged fault-counter block and engine probes. A
+// zero ospec yields a nil observer and an uninstrumented run.
 func FailSweepObserved(sp spec.Spec, outages []sim.Time, cfg FailSweepConfig, parallelism int, ospec obs.Spec) ([]FailRow, *obs.Observer, error) {
 	cfg = cfg.withDefaults()
 	if len(outages) == 0 {
@@ -224,27 +219,19 @@ func FailSweepObserved(sp spec.Spec, outages []sim.Time, cfg FailSweepConfig, pa
 	axes := func(i int) (arch string, dur sim.Time) {
 		return LoadSweepArchs[i/len(outages)], outages[i%len(outages)]
 	}
-	var o *obs.Observer
-	if ospec.Enabled() {
-		labels := make([]string, n)
-		for i := range labels {
-			arch, dur := axes(i)
-			labels[i] = fmt.Sprintf("failsweep/%s/outage=%v", arch, dur)
-		}
-		o = obs.New(ospec, labels...)
-	}
-	rows := make([]FailRow, n)
-	errs := make([]error, n)
-	forEachCell(n, parallelism, func(i int) {
+	o := newObserver(ospec, n, func(i int) string {
+		arch, dur := axes(i)
+		return fmt.Sprintf("failsweep/%s/outage=%v", arch, dur)
+	})
+	rows, err := sweep(n, parallelism, func(i int) (FailRow, error) {
 		arch, dur := axes(i)
 		row, err := failCell(sp, arch, dur, shape, cfg, o.Cell(i))
 		if err != nil {
-			errs[i] = fmt.Errorf("failsweep: %s outage=%v: %w", arch, dur, err)
-			return
+			err = fmt.Errorf("failsweep: %s outage=%v: %w", arch, dur, err)
 		}
-		rows[i] = row
+		return row, err
 	})
-	if err := firstError(errs); err != nil {
+	if err != nil {
 		return nil, nil, err
 	}
 	return rows, o, nil

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"netdimm/internal/fault"
+	"netdimm/internal/obs"
 	"netdimm/internal/sim"
 	"netdimm/internal/spec"
 )
@@ -18,7 +19,7 @@ func testFailSweep(t *testing.T, sp spec.Spec, outages []sim.Time) []FailRow {
 	}
 	cfg := DefaultFailSweepConfig()
 	cfg.Packets = 480
-	rows, err := FailSweep(sp, outages, cfg, 0)
+	rows, _, err := FailSweepObserved(sp, outages, cfg, 0, obs.Spec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +93,7 @@ func TestFailSweepSpineShiftsTraffic(t *testing.T) {
 	sp.Load.Hosts = 16
 	cfg := DefaultFailSweepConfig()
 	cfg.Packets = 480
-	rows, err := FailSweep(sp, []sim.Time{0, 40 * sim.Microsecond}, cfg, 0)
+	rows, _, err := FailSweepObserved(sp, []sim.Time{0, 40 * sim.Microsecond}, cfg, 0, obs.Spec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,28 +143,28 @@ func TestFailSweepRejectsBadInput(t *testing.T) {
 	cfg := DefaultFailSweepConfig()
 	cfg.Packets = 32
 
-	if _, err := FailSweep(sp, []sim.Time{-sim.Microsecond}, cfg, 0); err == nil ||
+	if _, _, err := FailSweepObserved(sp, []sim.Time{-sim.Microsecond}, cfg, 0, obs.Spec{}); err == nil ||
 		!strings.Contains(err.Error(), "negative") {
 		t.Errorf("negative outage duration: got %v, want negative-duration error", err)
 	}
 
 	bad := cfg
 	bad.Spine = 7
-	if _, err := FailSweep(sp, []sim.Time{0}, bad, 0); err == nil ||
+	if _, _, err := FailSweepObserved(sp, []sim.Time{0}, bad, 0, obs.Spec{}); err == nil ||
 		!strings.Contains(err.Error(), "spine") {
 		t.Errorf("out-of-range spine: got %v, want spine-range error", err)
 	}
 
 	one := sp
 	one.Load.Hosts = 1
-	if _, err := FailSweep(one, []sim.Time{0}, cfg, 0); err == nil ||
+	if _, _, err := FailSweepObserved(one, []sim.Time{0}, cfg, 0, obs.Spec{}); err == nil ||
 		!strings.Contains(err.Error(), "hosts") {
 		t.Errorf("single host: got %v, want host-count error", err)
 	}
 
 	sched := sp
 	sched.Fault.Failure.Outages = []fault.Outage{{Kind: fault.OutageSpine, Index: 99, StartNs: 0, EndNs: 10}}
-	if _, err := FailSweep(sched, []sim.Time{0}, cfg, 0); err == nil {
+	if _, _, err := FailSweepObserved(sched, []sim.Time{0}, cfg, 0, obs.Spec{}); err == nil {
 		t.Error("background schedule naming spine 99 on a 2-spine clos: want arming error")
 	}
 }

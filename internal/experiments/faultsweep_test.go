@@ -7,6 +7,7 @@ import (
 
 	"netdimm/internal/driver"
 	"netdimm/internal/nic"
+	"netdimm/internal/obs"
 	"netdimm/internal/sim"
 	"netdimm/internal/spec"
 )
@@ -22,7 +23,7 @@ func fsTestConfig() FaultSweepConfig {
 // nothing when nothing is injected.
 func TestFaultSweepZeroLossMatchesAnalytic(t *testing.T) {
 	sp := spec.TableOne()
-	rows, err := FaultSweep(sp, []float64{0}, fsTestConfig(), 1)
+	rows, _, err := FaultSweepObserved(sp, []float64{0}, fsTestConfig(), 1, obs.Spec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +60,7 @@ func TestFaultSweepLatencyDegradesMonotonically(t *testing.T) {
 	sp := spec.TableOne()
 	sp.Fault.MaxRetries = 16
 	rates := []float64{0, 0.02, 0.1, 0.3}
-	rows, err := FaultSweep(sp, rates, fsTestConfig(), 0)
+	rows, _, err := FaultSweepObserved(sp, rates, fsTestConfig(), 0, obs.Spec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +99,7 @@ func TestFaultSweepLivelockTripsWatchdog(t *testing.T) {
 	sp := spec.TableOne() // Fault zero: MaxRetries 0 = unlimited
 	cfg := fsTestConfig()
 	cfg.EventBudget = 50_000
-	_, err := FaultSweep(sp, []float64{1}, cfg, 1)
+	_, _, err := FaultSweepObserved(sp, []float64{1}, cfg, 1, obs.Spec{})
 	if err == nil {
 		t.Fatal("100% loss with unlimited retries returned no error")
 	}
@@ -116,7 +117,7 @@ func TestFaultSweepLivelockTripsWatchdog(t *testing.T) {
 func TestFaultSweepTotalLossBoundedRetries(t *testing.T) {
 	sp := spec.TableOne()
 	sp.Fault.MaxRetries = 3
-	rows, err := FaultSweep(sp, []float64{1}, fsTestConfig(), 1)
+	rows, _, err := FaultSweepObserved(sp, []float64{1}, fsTestConfig(), 1, obs.Spec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +139,7 @@ func TestFaultSweepMemoryFaults(t *testing.T) {
 	sp.Fault.MemTimeoutProb = 0.3
 	sp.Fault.MemMaxRetries = 16
 	sp.Fault.MaxRetries = 8
-	rows, err := FaultSweep(sp, []float64{0.01}, fsTestConfig(), 1)
+	rows, _, err := FaultSweepObserved(sp, []float64{0.01}, fsTestConfig(), 1, obs.Spec{})
 	if err != nil {
 		t.Fatal(err)
 	}

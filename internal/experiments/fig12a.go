@@ -46,17 +46,9 @@ var PaperSwitchLatencies = []sim.Time{
 // store-and-forward, so MTU-heavy traffic (hadoop) pays per-hop
 // re-serialisation, reproducing the paper's cluster ordering.
 func Fig12a(sp spec.Spec, clusters []workload.Cluster, switchLats []sim.Time, n int, seed uint64, parallelism int) ([]Fig12aRow, error) {
-	rows := make([]Fig12aRow, len(clusters)*len(switchLats))
-	errs := make([]error, len(rows))
-	forEachCell(len(rows), parallelism, func(idx int) {
-		cl := clusters[idx/len(switchLats)]
-		sl := switchLats[idx%len(switchLats)]
-		rows[idx], errs[idx] = fig12aCell(sp.MustDerive(), cl, sl, n, seed)
+	return sweep(len(clusters)*len(switchLats), parallelism, func(idx int) (Fig12aRow, error) {
+		return fig12aCell(sp.MustDerive(), clusters[idx/len(switchLats)], switchLats[idx%len(switchLats)], n, seed)
 	})
-	if err := firstError(errs); err != nil {
-		return nil, err
-	}
-	return rows, nil
 }
 
 // fig12aCell measures one (cluster, switch latency) grid point. Every cell

@@ -97,33 +97,20 @@ func (r Fig11Row) ReductionVsINIC() float64 {
 	return stats.Reduction(r.INIC.Total(), r.NetDIMM.Total())
 }
 
-// Fig11 reproduces the central latency experiment: per-component one-way
-// latency for dNIC, iNIC and NetDIMM across packet sizes, on the system
-// described by sp. Each size uses fresh machines so bank and cache state do
-// not leak across rows; seeds vary per side so TX and RX devices differ.
-func Fig11(sp spec.Spec, sizes []int, switchLatency sim.Time, parallelism int) ([]Fig11Row, error) {
-	rows, _, err := Fig11Observed(sp, sizes, switchLatency, parallelism, obs.Spec{})
-	return rows, err
-}
-
-// Fig11Observed is Fig11 with the observability plane: when ospec enables
-// tracing or metrics, every size gets its own cell (labelled
-// "fig11/size=<n>") holding per-architecture lifecycle spans whose
-// per-component track sums equal the reported breakdowns, plus substrate
-// metrics. With a zero ospec the returned observer is nil and the run is
-// identical to Fig11 — same cells, same event order, same numbers.
+// Fig11Observed reproduces the central latency experiment: per-component
+// one-way latency for dNIC, iNIC and NetDIMM across packet sizes, on the
+// system described by sp. Each size uses fresh machines so bank and cache
+// state do not leak across rows; seeds vary per side so TX and RX devices
+// differ.
+//
+// When ospec enables tracing or metrics, every size gets its own cell
+// (labelled "fig11/size=<n>") holding per-architecture lifecycle spans
+// whose per-component track sums equal the reported breakdowns, plus
+// substrate metrics. With a zero ospec the returned observer is nil and the
+// run is unchanged — same cells, same event order, same numbers.
 func Fig11Observed(sp spec.Spec, sizes []int, switchLatency sim.Time, parallelism int, ospec obs.Spec) ([]Fig11Row, *obs.Observer, error) {
-	var o *obs.Observer
-	if ospec.Enabled() {
-		labels := make([]string, len(sizes))
-		for i, s := range sizes {
-			labels[i] = fmt.Sprintf("fig11/size=%d", s)
-		}
-		o = obs.New(ospec, labels...)
-	}
-	rows := make([]Fig11Row, len(sizes))
-	errs := make([]error, len(sizes))
-	forEachCell(len(sizes), parallelism, func(i int) {
+	o := newObserver(ospec, len(sizes), func(i int) string { return fmt.Sprintf("fig11/size=%d", sizes[i]) })
+	rows, err := sweep(len(sizes), parallelism, func(i int) (Fig11Row, error) {
 		d := sp.MustDerive()
 		fabric := d.Fabric(switchLatency)
 		size := sizes[i]
@@ -131,22 +118,20 @@ func Fig11Observed(sp spec.Spec, sizes []int, switchLatency sim.Time, parallelis
 		cell := o.Cell(i)
 		ndTX, err := d.NewNetDIMM(uint64(2*i + 1))
 		if err != nil {
-			errs[i] = err
-			return
+			return Fig11Row{}, err
 		}
 		ndRX, err := d.NewNetDIMM(uint64(2*i + 2))
 		if err != nil {
-			errs[i] = err
-			return
+			return Fig11Row{}, err
 		}
-		rows[i] = Fig11Row{
+		return Fig11Row{
 			Size:    size,
 			DNIC:    driver.OneWayObserved(d.NewDNIC(false), d.NewDNIC(false), p, fabric, cell),
 			INIC:    driver.OneWayObserved(d.NewINIC(false), d.NewINIC(false), p, fabric, cell),
 			NetDIMM: driver.OneWayObserved(ndTX, ndRX, p, fabric, cell),
-		}
+		}, nil
 	})
-	if err := firstError(errs); err != nil {
+	if err != nil {
 		return nil, nil, err
 	}
 	return rows, o, nil

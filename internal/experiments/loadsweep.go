@@ -187,29 +187,22 @@ func DetectKnees(rows []LoadRow, kneeFactor float64) []LoadKnee {
 	return knees
 }
 
-// LoadSweep runs the rack-scale open-loop load sweep: for every
+// LoadSweepObserved runs the rack-scale open-loop load sweep: for every
 // (architecture, offered load) cell it simulates loads[i] of the line rate
-// fanning in from the spec's Load.Hosts senders to one receiver and
-// reports the end-to-end latency distribution, then reduces the rows to
-// one saturation knee per architecture. A nil loads slice uses
-// DefaultLoadGrid.
+// fanning in from the spec's Load.Hosts senders to one receiver and reports
+// the end-to-end latency distribution, then reduces the rows to one
+// saturation knee per architecture. A nil loads slice uses DefaultLoadGrid.
 //
-// Cells are deterministic: each builds its own engine, machines and
-// arrival streams from per-cell seeds, so results are identical
-// sequentially and in parallel. Along one architecture's load axis the
-// packet sequence is held fixed (only the arrival spacing scales), so the
-// latency curve isolates queueing.
-func LoadSweep(sp spec.Spec, loads []float64, cfg LoadSweepConfig, parallelism int) ([]LoadRow, []LoadKnee, error) {
-	rows, knees, _, err := LoadSweepObserved(sp, loads, cfg, parallelism, obs.Spec{})
-	return rows, knees, err
-}
-
-// LoadSweepObserved is LoadSweep with the observability plane: when ospec
-// enables collection, each (arch, load) cell gets a Cell labelled
-// "loadsweep/<arch>/load=<load>" with receiver queue-depth and egress
-// depth series, delivery/drop counters, link utilisation and engine
-// probes. A zero ospec yields a nil observer and the exact LoadSweep
-// behaviour.
+// Cells are deterministic: each builds its own engine, machines and arrival
+// streams from per-cell seeds, so results are identical sequentially and in
+// parallel. Along one architecture's load axis the packet sequence is held
+// fixed (only the arrival spacing scales), so the latency curve isolates
+// queueing.
+//
+// When ospec enables collection, each (arch, load) cell gets a Cell
+// labelled "loadsweep/<arch>/load=<load>" with receiver queue-depth and
+// egress depth series, delivery/drop counters, link utilisation and engine
+// probes. A zero ospec yields a nil observer and an uninstrumented run.
 func LoadSweepObserved(sp spec.Spec, loads []float64, cfg LoadSweepConfig, parallelism int, ospec obs.Spec) ([]LoadRow, []LoadKnee, *obs.Observer, error) {
 	cfg = cfg.withDefaults()
 	if len(loads) == 0 {
@@ -225,28 +218,19 @@ func LoadSweepObserved(sp spec.Spec, loads []float64, cfg LoadSweepConfig, paral
 		return nil, nil, nil, fmt.Errorf("loadsweep: %w", err)
 	}
 	n := len(LoadSweepArchs) * len(loads)
-	var o *obs.Observer
-	if ospec.Enabled() {
-		labels := make([]string, n)
-		for i := range labels {
-			labels[i] = fmt.Sprintf("loadsweep/%s/load=%g",
-				LoadSweepArchs[i/len(loads)], loads[i%len(loads)])
-		}
-		o = obs.New(ospec, labels...)
-	}
-	rows := make([]LoadRow, n)
-	errs := make([]error, n)
-	forEachCell(n, parallelism, func(i int) {
+	o := newObserver(ospec, n, func(i int) string {
+		return fmt.Sprintf("loadsweep/%s/load=%g", LoadSweepArchs[i/len(loads)], loads[i%len(loads)])
+	})
+	rows, err := sweep(n, parallelism, func(i int) (LoadRow, error) {
 		arch := LoadSweepArchs[i/len(loads)]
 		load := loads[i%len(loads)]
 		row, err := loadCell(sp, arch, load, shape, cfg, o.Cell(i))
 		if err != nil {
-			errs[i] = fmt.Errorf("loadsweep: %s at load %g: %w", arch, load, err)
-			return
+			err = fmt.Errorf("loadsweep: %s at load %g: %w", arch, load, err)
 		}
-		rows[i] = row
+		return row, err
 	})
-	if err := firstError(errs); err != nil {
+	if err != nil {
 		return nil, nil, nil, err
 	}
 	return rows, DetectKnees(rows, shape.kneeFactor), o, nil

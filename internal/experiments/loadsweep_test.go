@@ -17,7 +17,7 @@ func testLoadSweep(t *testing.T, sp spec.Spec, loads []float64) ([]LoadRow, []Lo
 	t.Helper()
 	cfg := DefaultLoadSweepConfig()
 	cfg.Packets = 600
-	rows, knees, err := LoadSweep(sp, loads, cfg, 0)
+	rows, knees, _, err := LoadSweepObserved(sp, loads, cfg, 0, obs.Spec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestLoadSweepNetDIMMSaturatesAfterDNIC(t *testing.T) {
 func TestLoadSweepRejectsBadLoads(t *testing.T) {
 	cfg := DefaultLoadSweepConfig()
 	for _, loads := range [][]float64{{0}, {-0.1}, {math.NaN()}, {math.Inf(1)}, {0.1, 0}} {
-		if _, _, err := LoadSweep(spec.TableOne(), loads, cfg, 1); err == nil {
+		if _, _, _, err := LoadSweepObserved(spec.TableOne(), loads, cfg, 1, obs.Spec{}); err == nil {
 			t.Errorf("loads %v: no error", loads)
 		}
 	}
@@ -107,13 +107,13 @@ func TestLoadSweepRejectsBadLoads(t *testing.T) {
 func TestLoadSweepRejectsBadLoadBlock(t *testing.T) {
 	sp := spec.TableOne()
 	sp.Load.Cluster = "mainframe"
-	if _, _, err := LoadSweep(sp, []float64{0.05}, DefaultLoadSweepConfig(), 1); err == nil ||
+	if _, _, _, err := LoadSweepObserved(sp, []float64{0.05}, DefaultLoadSweepConfig(), 1, obs.Spec{}); err == nil ||
 		!strings.Contains(err.Error(), "unknown cluster") {
 		t.Errorf("bad cluster: err = %v", err)
 	}
 	sp = spec.TableOne()
 	sp.Load.Process = "bursty"
-	if _, _, err := LoadSweep(sp, []float64{0.05}, DefaultLoadSweepConfig(), 1); err == nil ||
+	if _, _, _, err := LoadSweepObserved(sp, []float64{0.05}, DefaultLoadSweepConfig(), 1, obs.Spec{}); err == nil ||
 		!strings.Contains(err.Error(), "unknown arrival process") {
 		t.Errorf("bad process: err = %v", err)
 	}
@@ -247,7 +247,7 @@ func TestLoadSweepObservedMetrics(t *testing.T) {
 func TestLoadSweepHoldsWorkFixedAcrossLoads(t *testing.T) {
 	cfg := DefaultLoadSweepConfig()
 	cfg.Packets = 200
-	rows, _, err := LoadSweep(spec.TableOne(), []float64{0.02, 0.2}, cfg, 0)
+	rows, _, _, err := LoadSweepObserved(spec.TableOne(), []float64{0.02, 0.2}, cfg, 0, obs.Spec{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -107,10 +107,10 @@ func TestFig11ObservedDeterministicTrace(t *testing.T) {
 
 // TestFig11ObservedDisabledIdentical checks the zero-overhead contract at
 // the experiment level: a run with a zero obs.Spec returns a nil observer
-// and the exact numbers of the uninstrumented path.
+// and the exact numbers of a fully instrumented run.
 func TestFig11ObservedDisabledIdentical(t *testing.T) {
 	sizes := []int{64, 1514}
-	plain, err := Fig11(spec.TableOne(), sizes, 100*sim.Nanosecond, 1)
+	traced, _, err := Fig11Observed(spec.TableOne(), sizes, 100*sim.Nanosecond, 1, obs.Spec{Trace: true, Metrics: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,11 +121,11 @@ func TestFig11ObservedDisabledIdentical(t *testing.T) {
 	if o != nil {
 		t.Error("zero spec returned a non-nil observer")
 	}
-	for i := range plain {
-		if plain[i].DNIC.Total() != rows[i].DNIC.Total() ||
-			plain[i].INIC.Total() != rows[i].INIC.Total() ||
-			plain[i].NetDIMM.Total() != rows[i].NetDIMM.Total() {
-			t.Errorf("row %d: observed-disabled run differs from plain run", i)
+	for i := range traced {
+		if traced[i].DNIC.Total() != rows[i].DNIC.Total() ||
+			traced[i].INIC.Total() != rows[i].INIC.Total() ||
+			traced[i].NetDIMM.Total() != rows[i].NetDIMM.Total() {
+			t.Errorf("row %d: observed-disabled run differs from instrumented run", i)
 		}
 	}
 }
@@ -167,7 +167,7 @@ func TestFaultTailsMergeAcrossRates(t *testing.T) {
 	rates := []float64{0, 0.1}
 	cfg := DefaultFaultSweepConfig()
 	cfg.Packets = 80
-	rows, err := FaultSweep(spec.TableOne(), rates, cfg, 1)
+	rows, _, err := FaultSweepObserved(spec.TableOne(), rates, cfg, 1, obs.Spec{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,8 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+
+	"netdimm/internal/obs"
 )
 
 // Every figure in this package is a sweep over independent simulation
@@ -92,4 +94,29 @@ func firstError(errs []error) error {
 		}
 	}
 	return nil
+}
+
+// sweep runs cell for every index 0..n-1 through forEachCell and returns
+// the rows in index order, or the lowest-index cell's error.
+func sweep[R any](n, parallelism int, cell func(i int) (R, error)) ([]R, error) {
+	rows := make([]R, n)
+	errs := make([]error, n)
+	forEachCell(n, parallelism, func(i int) { rows[i], errs[i] = cell(i) })
+	if err := firstError(errs); err != nil {
+		return nil, err
+	}
+	return rows, nil
+}
+
+// newObserver pre-creates one labelled obs cell per sweep cell, or returns
+// nil (every Cell call a no-op) when ospec collects nothing.
+func newObserver(ospec obs.Spec, n int, label func(i int) string) *obs.Observer {
+	if !ospec.Enabled() {
+		return nil
+	}
+	labels := make([]string, n)
+	for i := range labels {
+		labels[i] = label(i)
+	}
+	return obs.New(ospec, labels...)
 }

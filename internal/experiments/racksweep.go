@@ -174,26 +174,21 @@ func DetectRackKnees(rows []RackRow, kneeFactor float64) []RackKnee {
 	return knees
 }
 
-// RackSweep runs the rack-count sweep: for every (architecture, racks,
-// ECN, offered load) cell it simulates the spec's hosts (default 256)
-// exchanging cluster-mix traffic over a racks-leaf clos, with and without
-// ECN, and reduces the rows to saturation knees. Nil axes use
+// RackSweepObserved runs the rack-count sweep: for every (architecture,
+// racks, ECN, offered load) cell it simulates the spec's hosts (default
+// 256) exchanging cluster-mix traffic over a racks-leaf clos, with and
+// without ECN, and reduces the rows to saturation knees. Nil axes use
 // DefaultRackGrid and DefaultRackLoadGrid; a spec whose Fabric block pins
 // Leaves sweeps only that rack count.
 //
-// Cells are deterministic: each builds its own engine, fabric, machines
-// and arrival/destination streams from per-cell seeds, so results are
-// identical sequentially, in parallel, and at every Load.Shards count.
-func RackSweep(sp spec.Spec, racks []int, loads []float64, cfg RackSweepConfig, parallelism int) ([]RackRow, []RackKnee, error) {
-	rows, knees, _, err := RackSweepObserved(sp, racks, loads, cfg, parallelism, obs.Spec{})
-	return rows, knees, err
-}
-
-// RackSweepObserved is RackSweep with the observability plane: when ospec
-// enables collection, each cell gets a Cell labelled
+// Cells are deterministic: each builds its own engine, fabric, machines and
+// arrival/destination streams from per-cell seeds, so results are identical
+// sequentially, in parallel, and at every Load.Shards count.
+//
+// When ospec enables collection, each cell gets a Cell labelled
 // "racksweep/<arch>/racks=<n>/ecn=<on|off>/load=<g>" with delivery, drop
 // and mark counters, fabric depth gauges and engine probes. A zero ospec
-// yields a nil observer and the exact RackSweep behaviour.
+// yields a nil observer and an uninstrumented run.
 func RackSweepObserved(sp spec.Spec, racks []int, loads []float64, cfg RackSweepConfig, parallelism int, ospec obs.Spec) ([]RackRow, []RackKnee, *obs.Observer, error) {
 	cfg = cfg.withDefaults()
 	if len(racks) == 0 {
@@ -242,18 +237,11 @@ func RackSweepObserved(sp spec.Spec, racks []int, loads []float64, cfg RackSweep
 		i %= len(ecns) * len(loads)
 		return arch, rk, ecns[i/len(loads)], loads[i%len(loads)]
 	}
-	var o *obs.Observer
-	if ospec.Enabled() {
-		labels := make([]string, n)
-		for i := range labels {
-			arch, rk, ecn, load := axes(i)
-			labels[i] = fmt.Sprintf("racksweep/%s/racks=%d/ecn=%s/load=%g", arch, rk, onOff(ecn), load)
-		}
-		o = obs.New(ospec, labels...)
-	}
-	rows := make([]RackRow, n)
-	errs := make([]error, n)
-	forEachCell(n, parallelism, func(i int) {
+	o := newObserver(ospec, n, func(i int) string {
+		arch, rk, ecn, load := axes(i)
+		return fmt.Sprintf("racksweep/%s/racks=%d/ecn=%s/load=%g", arch, rk, onOff(ecn), load)
+	})
+	rows, err := sweep(n, parallelism, func(i int) (RackRow, error) {
 		arch, rk, ecn, load := axes(i)
 		cell := sp
 		cell.Fabric.Leaves = rk
@@ -268,12 +256,11 @@ func RackSweepObserved(sp spec.Spec, racks []int, loads []float64, cfg RackSweep
 		}
 		row, err := rackCell(cell, arch, load, shape, cfg, o.Cell(i))
 		if err != nil {
-			errs[i] = fmt.Errorf("racksweep: %s racks=%d ecn=%s at load %g: %w", arch, rk, onOff(ecn), load, err)
-			return
+			err = fmt.Errorf("racksweep: %s racks=%d ecn=%s at load %g: %w", arch, rk, onOff(ecn), load, err)
 		}
-		rows[i] = row
+		return row, err
 	})
-	if err := firstError(errs); err != nil {
+	if err != nil {
 		return nil, nil, nil, err
 	}
 	return rows, DetectRackKnees(rows, shape.kneeFactor), o, nil

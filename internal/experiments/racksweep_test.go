@@ -20,7 +20,7 @@ func testRackSweep(t *testing.T, sp spec.Spec, racks []int, loads []float64) ([]
 	}
 	cfg := DefaultRackSweepConfig()
 	cfg.Packets = 320
-	rows, knees, err := RackSweep(sp, racks, loads, cfg, 0)
+	rows, knees, _, err := RackSweepObserved(sp, racks, loads, cfg, 0, obs.Spec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,24 +187,24 @@ func TestRackSpines(t *testing.T) {
 
 func TestRackSweepRejectsBadInput(t *testing.T) {
 	cfg := DefaultRackSweepConfig()
-	if _, _, err := RackSweep(spec.TableOne(), []int{0}, nil, cfg, 1); err == nil ||
+	if _, _, _, err := RackSweepObserved(spec.TableOne(), []int{0}, nil, cfg, 1, obs.Spec{}); err == nil ||
 		!strings.Contains(err.Error(), "rack count") {
 		t.Errorf("racks {0}: err = %v", err)
 	}
 	for _, loads := range [][]float64{{0}, {-0.1}, {math.NaN()}, {math.Inf(1)}} {
-		if _, _, err := RackSweep(spec.TableOne(), []int{2}, loads, cfg, 1); err == nil {
+		if _, _, _, err := RackSweepObserved(spec.TableOne(), []int{2}, loads, cfg, 1, obs.Spec{}); err == nil {
 			t.Errorf("loads %v: no error", loads)
 		}
 	}
 	sp := spec.TableOne()
 	sp.Load.Hosts = 1
-	if _, _, err := RackSweep(sp, []int{2}, []float64{0.1}, cfg, 1); err == nil ||
+	if _, _, _, err := RackSweepObserved(sp, []int{2}, []float64{0.1}, cfg, 1, obs.Spec{}); err == nil ||
 		!strings.Contains(err.Error(), "at least 2 hosts") {
 		t.Errorf("hosts=1: err = %v", err)
 	}
 	sp = spec.TableOne()
 	sp.Load.Cluster = "mainframe"
-	if _, _, err := RackSweep(sp, []int{2}, []float64{0.1}, cfg, 1); err == nil ||
+	if _, _, _, err := RackSweepObserved(sp, []int{2}, []float64{0.1}, cfg, 1, obs.Spec{}); err == nil ||
 		!strings.Contains(err.Error(), "unknown cluster") {
 		t.Errorf("bad cluster: err = %v", err)
 	}

@@ -33,9 +33,7 @@ func ReplayTrace(sp spec.Spec, events []workload.Event, switchLatency sim.Time, 
 	// Each architecture replays the whole trace on its own machines — an
 	// independent cell; machines never interact across architectures.
 	names := []string{"dNIC", "iNIC", "NetDIMM"}
-	hists := make([]stats.Histogram, len(names))
-	errs := make([]error, len(names))
-	forEachCell(len(names), parallelism, func(i int) {
+	return sweep(len(names), parallelism, func(i int) (ReplayResult, error) {
 		d := sp.MustDerive()
 		fabric := d.Fabric(switchLatency)
 		fabric.Switch.CutThrough = false
@@ -50,37 +48,23 @@ func ReplayTrace(sp spec.Spec, events []workload.Event, switchLatency sim.Time, 
 		default:
 			ndTX, err := d.NewNetDIMM(seed + 1)
 			if err != nil {
-				errs[i] = err
-				return
+				return ReplayResult{}, err
 			}
 			ndRX, err := d.NewNetDIMM(seed + 2)
 			if err != nil {
-				errs[i] = err
-				return
+				return ReplayResult{}, err
 			}
 			tx, rx = ndTX, ndRX
 		}
+		var h stats.Histogram
 		for j, e := range events {
 			p := e.Packet(uint64(j))
 			wire := fabric.WireTime(e.Size, e.Locality)
-			hists[i].Observe(tx.TX(p).Total() + wire + rx.RX(p).Total())
+			h.Observe(tx.TX(p).Total() + wire + rx.RX(p).Total())
 		}
+		return ReplayResult{Arch: names[i], Packets: h.Count(), Mean: h.Mean(),
+			P50: h.Percentile(50), P99: h.Percentile(99)}, nil
 	})
-	if err := firstError(errs); err != nil {
-		return nil, err
-	}
-	out := make([]ReplayResult, len(names))
-	for i, name := range names {
-		h := &hists[i]
-		out[i] = ReplayResult{
-			Arch:    name,
-			Packets: h.Count(),
-			Mean:    h.Mean(),
-			P50:     h.Percentile(50),
-			P99:     h.Percentile(99),
-		}
-	}
-	return out, nil
 }
 
 // ReplayTraceFile reads a trace stream and replays it.

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"netdimm/internal/fault"
+	"netdimm/internal/obs"
 	"netdimm/internal/sim"
 	"netdimm/internal/spec"
 	"netdimm/internal/trace"
@@ -77,7 +78,7 @@ func TestReplayTraceFileRoundTrip(t *testing.T) {
 }
 
 func TestMixedChannel(t *testing.T) {
-	res, err := MixedChannel(spec.TableOne(), 300, 4)
+	res, _, err := MixedChannelObserved(spec.TableOne(), 300, 4, obs.Spec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +104,7 @@ func TestMixedChannel(t *testing.T) {
 }
 
 func TestMixedChannelOutOfOrder(t *testing.T) {
-	res, err := MixedChannel(spec.TableOne(), 400, 11)
+	res, _, err := MixedChannelObserved(spec.TableOne(), 400, 11, obs.Spec{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,20 +11,20 @@ import (
 // recovery ones, so a row of experiment output can report both sides of
 // every fault.
 type FaultCounters struct {
+	// Retransmits counts NIC retransmission attempts.
+	Retransmits uint64 `csv:"retransmits"`
 	// FramesDropped counts frames lost on a link traversal.
-	FramesDropped uint64
+	FramesDropped uint64 `csv:"frames_dropped"`
 	// FramesCorrupted counts frames discarded by the receiver's FCS check.
-	FramesCorrupted uint64
+	FramesCorrupted uint64 `csv:"frames_corrupted"`
 	// PortDrops counts injected switch-port tail drops.
 	PortDrops uint64
-	// Retransmits counts NIC retransmission attempts.
-	Retransmits uint64
 	// DeliveryFailures counts frames abandoned after the retry cap.
 	DeliveryFailures uint64
 	// MemTimeouts counts NVDIMM-P transactions whose RDY was lost.
 	MemTimeouts uint64
 	// MemRetries counts memory transactions re-issued after a timeout.
-	MemRetries uint64
+	MemRetries uint64 `csv:"mem_retries"`
 	// MemFailures counts memory transactions abandoned after the retry cap.
 	MemFailures uint64
 }

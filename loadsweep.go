@@ -10,28 +10,28 @@ import (
 // rack-scale load sweep: end-to-end latency statistics over delivered
 // packets, plus the cell's congestion tallies.
 type LoadSweepResult struct {
-	Arch string
+	Arch string `csv:"arch"`
 	// OfferedLoad is the injected fraction of the receiver's line rate,
 	// aggregated over every sender host.
-	OfferedLoad float64
-	Mean        time.Duration
-	P50         time.Duration
-	P99         time.Duration
-	P999        time.Duration
+	OfferedLoad float64       `csv:"offered_load"`
+	Mean        time.Duration `csv:"mean_ns"`
+	P50         time.Duration `csv:"p50_ns"`
+	P99         time.Duration `csv:"p99_ns"`
+	P999        time.Duration `csv:"p999_ns"`
 	// Delivered counts packets that completed end to end; Dropped counts
 	// frames tail-dropped by a full uplink or egress buffer.
-	Delivered int
-	Dropped   int
+	Delivered int `csv:"delivered"`
+	Dropped   int `csv:"dropped"`
 	// EgressMaxDepth and EgressQueueDelay describe the shared switch
 	// egress port toward the receiver (the wire-side incast bottleneck).
-	EgressMaxDepth   int
-	EgressQueueDelay time.Duration
+	EgressMaxDepth   int           `csv:"egress_max_depth"`
+	EgressQueueDelay time.Duration `csv:"egress_queue_delay_ns"`
 	// RxMaxDepth is the high-water mark of the receiver driver's queue
 	// (the architecture-dependent bottleneck).
-	RxMaxDepth int
+	RxMaxDepth int `csv:"rx_max_depth"`
 	// LinkUtilization is delivered wire occupancy over the cell's
 	// makespan, in [0,1].
-	LinkUtilization float64
+	LinkUtilization float64 `csv:"link_util" fmt:"%.4f"`
 }
 
 // LoadKneeResult is one architecture's detected saturation point: the
@@ -45,20 +45,14 @@ type LoadKneeResult struct {
 	Saturated bool
 }
 
-// RunLoadSweep runs the rack-scale open-loop load sweep on the default
-// configuration: for each architecture (dNIC, iNIC, NetDIMM) and each
-// offered load, eight sender hosts inject cluster-distributed traffic that
-// fans in to one receiver through an output-queued switch, and the
-// end-to-end latency distribution (mean/p50/p99/p999) is measured over
-// every delivered packet. loads are fractions of the line rate (nil uses a
-// default grid bracketing every architecture's knee); packets is the total
-// arrival count per cell (0 = 2000).
-func RunLoadSweep(loads []float64, packets int, seed uint64, parallelism int) ([]LoadSweepResult, []LoadKneeResult, error) {
-	return RunLoadSweepWithConfig(DefaultConfig(), loads, packets, seed, parallelism)
-}
-
-// RunLoadSweepWithConfig is RunLoadSweep on the system described by cfg.
-// The traffic shape — sender host count (incast), cluster distribution,
+// RunLoadSweepWithConfig runs the rack-scale open-loop load sweep on the
+// system described by cfg: for each architecture (dNIC, iNIC, NetDIMM)
+// and each offered load, eight sender hosts inject cluster-distributed
+// traffic that fans in to one receiver through an output-queued switch,
+// and the end-to-end latency distribution (mean/p50/p99/p999) is measured
+// over every delivered packet. loads are fractions of the line rate (nil
+// uses a default grid bracketing every architecture's knee); packets is
+// the total arrival count per cell (0 = 2000). The traffic shape — sender host count (incast), cluster distribution,
 // Poisson or fixed arrivals, egress buffering, knee factor — comes from
 // cfg.Load; a zero Load block selects the sweep defaults. A configuration
 // that cannot drain (for example a pathological buffer setting) is

@@ -8,7 +8,7 @@ import (
 
 func TestRunLoadSweep(t *testing.T) {
 	loads := []float64{0.05, 0.15}
-	rows, knees, err := RunLoadSweep(loads, 150, 1, 0)
+	rows, knees, err := RunLoadSweepWithConfig(DefaultConfig(), loads, 150, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestRunLoadSweepRejectsInvalidInput(t *testing.T) {
 	if _, _, err := RunLoadSweepWithConfig(cfg, []float64{0.1}, 10, 0, 1); err == nil {
 		t.Fatal("invalid base config accepted")
 	}
-	if _, _, err := RunLoadSweep([]float64{math.NaN()}, 10, 0, 1); err == nil {
+	if _, _, err := RunLoadSweepWithConfig(DefaultConfig(), []float64{math.NaN()}, 10, 0, 1); err == nil {
 		t.Fatal("NaN load accepted")
 	}
 }

@@ -2,10 +2,11 @@ package netdimm
 
 import (
 	"fmt"
+	"reflect"
+	"strings"
 	"time"
 
 	"netdimm/internal/driver"
-	"netdimm/internal/ethernet"
 	"netdimm/internal/nic"
 	"netdimm/internal/sim"
 	"netdimm/internal/stats"
@@ -22,14 +23,9 @@ type Machine struct {
 // "iNIC.zcpy", "NetDIMM").
 func (m *Machine) Name() string { return m.impl.Name() }
 
-// NewDNIC builds a Table 1 server with a discrete x8 PCIe Gen4 NIC,
-// optionally with a zero-copy driver.
-func NewDNIC(zeroCopy bool) *Machine {
-	return &Machine{impl: driver.NewDNICMachine(zeroCopy)}
-}
-
-// NewDNICWithConfig builds a discrete-NIC server from a configuration: the
-// PCIe attachment link and driver costs derive from cfg.
+// NewDNICWithConfig builds a server with a discrete x8 PCIe NIC from a
+// configuration, optionally with a zero-copy driver: the PCIe attachment
+// link and driver costs derive from cfg.
 func NewDNICWithConfig(cfg Config, zeroCopy bool) (*Machine, error) {
 	d, err := cfg.derive()
 	if err != nil {
@@ -38,13 +34,8 @@ func NewDNICWithConfig(cfg Config, zeroCopy bool) (*Machine, error) {
 	return &Machine{impl: d.NewDNIC(zeroCopy)}, nil
 }
 
-// NewINIC builds a Table 1 server with a CPU-integrated NIC, optionally
-// with a zero-copy driver.
-func NewINIC(zeroCopy bool) *Machine {
-	return &Machine{impl: driver.NewINICMachine(zeroCopy)}
-}
-
-// NewINICWithConfig builds an integrated-NIC server from a configuration.
+// NewINICWithConfig builds a server with a CPU-integrated NIC from a
+// configuration, optionally with a zero-copy driver.
 func NewINICWithConfig(cfg Config, zeroCopy bool) (*Machine, error) {
 	d, err := cfg.derive()
 	if err != nil {
@@ -53,21 +44,11 @@ func NewINICWithConfig(cfg Config, zeroCopy bool) (*Machine, error) {
 	return &Machine{impl: d.NewINIC(zeroCopy)}, nil
 }
 
-// NewNetDIMM builds a Table 1 server with a 16GB NetDIMM: device, NET_0
-// memory zone, allocCache and the Algorithm 1 driver. The seed determines
-// nCache replacement randomness; distinct endpoints should use distinct
-// seeds.
-func NewNetDIMM(seed uint64) (*Machine, error) {
-	nd, err := driver.NewNetDIMMMachine(seed)
-	if err != nil {
-		return nil, err
-	}
-	return &Machine{impl: nd}, nil
-}
-
-// NewNetDIMMWithConfig builds a NetDIMM server from a configuration: the
-// device geometry, local DRAM timing and NET_0 zone placement derive from
-// cfg.
+// NewNetDIMMWithConfig builds a NetDIMM server from a configuration:
+// device, NET_0 memory zone, allocCache and the Algorithm 1 driver, with
+// the device geometry, local DRAM timing and zone placement derived from
+// cfg. The seed determines nCache replacement randomness; distinct
+// endpoints should use distinct seeds.
 func NewNetDIMMWithConfig(cfg Config, seed uint64) (*Machine, error) {
 	d, err := cfg.derive()
 	if err != nil {
@@ -83,15 +64,15 @@ func NewNetDIMMWithConfig(cfg Config, seed uint64) (*Machine, error) {
 // LatencyBreakdown is a one-way packet latency decomposed into the
 // components of the paper's Fig. 11.
 type LatencyBreakdown struct {
-	TxCopy       time.Duration
-	RxCopy       time.Duration
-	TxDMA        time.Duration
-	RxDMA        time.Duration
-	Wire         time.Duration
-	IOReg        time.Duration
-	TxFlush      time.Duration
-	RxInvalidate time.Duration
-	Total        time.Duration
+	TxCopy       time.Duration `csv:"txCopy_ns"`
+	RxCopy       time.Duration `csv:"rxCopy_ns"`
+	TxDMA        time.Duration `csv:"txDMA_ns"`
+	RxDMA        time.Duration `csv:"rxDMA_ns"`
+	Wire         time.Duration `csv:"wire_ns"`
+	IOReg        time.Duration `csv:"ioReg_ns"`
+	TxFlush      time.Duration `csv:"txFlush_ns"`
+	RxInvalidate time.Duration `csv:"rxInvalidate_ns"`
+	Total        time.Duration `csv:"total_ns"`
 }
 
 func toDuration(t sim.Time) time.Duration {
@@ -112,44 +93,25 @@ func fromBreakdown(b stats.Breakdown) LatencyBreakdown {
 	}
 }
 
-// String renders the non-zero components.
+// String renders the non-zero components, then the total, named as their
+// CSV columns without the _ns suffix.
 func (l LatencyBreakdown) String() string {
 	s := ""
-	add := func(name string, v time.Duration) {
-		if v > 0 {
-			s += fmt.Sprintf("%s=%v ", name, v)
+	v := reflect.ValueOf(l)
+	for _, c := range csvColumns(v.Type()) {
+		d := v.FieldByIndex(c.index).Interface().(time.Duration)
+		if name := strings.TrimSuffix(c.name, "_ns"); d > 0 || name == "total" {
+			s += fmt.Sprintf("%s=%v ", name, d)
 		}
 	}
-	add("txCopy", l.TxCopy)
-	add("rxCopy", l.RxCopy)
-	add("txDMA", l.TxDMA)
-	add("rxDMA", l.RxDMA)
-	add("wire", l.Wire)
-	add("ioReg", l.IOReg)
-	add("txFlush", l.TxFlush)
-	add("rxInvalidate", l.RxInvalidate)
-	return s + fmt.Sprintf("total=%v", l.Total)
+	return strings.TrimSuffix(s, " ")
 }
 
-// OneWayLatency sends one packet of the given size from tx to rx through a
-// single switch with the given port-to-port latency, and returns the
+// OneWayLatencyWithConfig sends one packet of the given size from tx to rx
+// through a single switch with the given port-to-port latency, over a
+// fabric whose link rate and PHY model derive from cfg, and returns the
 // latency decomposition. Repeated calls on stateful machines (NetDIMM)
 // reflect warmed device state.
-func OneWayLatency(tx, rx *Machine, packetSize int, switchLatency time.Duration) (LatencyBreakdown, error) {
-	if packetSize <= 0 {
-		return LatencyBreakdown{}, fmt.Errorf("netdimm: packet size must be positive, got %d", packetSize)
-	}
-	if tx == nil || rx == nil {
-		return LatencyBreakdown{}, fmt.Errorf("netdimm: nil machine")
-	}
-	fabric := ethernet.NewFabric(sim.FromDuration(switchLatency))
-	b := driver.OneWay(tx.impl, rx.impl, nic.Packet{Size: packetSize}, fabric)
-	return fromBreakdown(b), nil
-}
-
-// OneWayLatencyWithConfig is OneWayLatency over a fabric derived from the
-// configuration (its link rate and PHY model come from cfg rather than the
-// Table 1 defaults).
 func OneWayLatencyWithConfig(cfg Config, tx, rx *Machine, packetSize int, switchLatency time.Duration) (LatencyBreakdown, error) {
 	if packetSize <= 0 {
 		return LatencyBreakdown{}, fmt.Errorf("netdimm: packet size must be positive, got %d", packetSize)

@@ -7,25 +7,20 @@ import (
 )
 
 func TestMachineNames(t *testing.T) {
-	if NewDNIC(false).Name() != "dNIC" || NewDNIC(true).Name() != "dNIC.zcpy" {
+	if testDNIC(t, false).Name() != "dNIC" || testDNIC(t, true).Name() != "dNIC.zcpy" {
 		t.Fatal("dNIC names wrong")
 	}
-	if NewINIC(false).Name() != "iNIC" {
+	if testINIC(t, false).Name() != "iNIC" {
 		t.Fatal("iNIC name wrong")
 	}
-	nd, err := NewNetDIMM(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if nd.Name() != "NetDIMM" {
+	if testNetDIMM(t, 1).Name() != "NetDIMM" {
 		t.Fatal("NetDIMM name wrong")
 	}
 }
 
 func TestOneWayLatencyAPI(t *testing.T) {
-	tx, _ := NewNetDIMM(1)
-	rx, _ := NewNetDIMM(2)
-	lat, err := OneWayLatency(tx, rx, 256, 100*time.Nanosecond)
+	tx, rx := testNetDIMM(t, 1), testNetDIMM(t, 2)
+	lat, err := OneWayLatencyWithConfig(DefaultConfig(), tx, rx, 256, 100*time.Nanosecond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,21 +41,20 @@ func TestOneWayLatencyAPI(t *testing.T) {
 }
 
 func TestOneWayLatencyErrors(t *testing.T) {
-	tx := NewDNIC(false)
-	if _, err := OneWayLatency(tx, tx, 0, time.Microsecond); err == nil {
+	tx := testDNIC(t, false)
+	if _, err := OneWayLatencyWithConfig(DefaultConfig(), tx, tx, 0, time.Microsecond); err == nil {
 		t.Error("zero size accepted")
 	}
-	if _, err := OneWayLatency(nil, tx, 64, time.Microsecond); err == nil {
+	if _, err := OneWayLatencyWithConfig(DefaultConfig(), nil, tx, 64, time.Microsecond); err == nil {
 		t.Error("nil machine accepted")
 	}
 }
 
 func TestOneWayOrderingViaAPI(t *testing.T) {
-	ndTX, _ := NewNetDIMM(1)
-	ndRX, _ := NewNetDIMM(2)
-	nd, _ := OneWayLatency(ndTX, ndRX, 1024, 100*time.Nanosecond)
-	in, _ := OneWayLatency(NewINIC(false), NewINIC(false), 1024, 100*time.Nanosecond)
-	dn, _ := OneWayLatency(NewDNIC(false), NewDNIC(false), 1024, 100*time.Nanosecond)
+	ndTX, ndRX := testNetDIMM(t, 1), testNetDIMM(t, 2)
+	nd, _ := OneWayLatencyWithConfig(DefaultConfig(), ndTX, ndRX, 1024, 100*time.Nanosecond)
+	in, _ := OneWayLatencyWithConfig(DefaultConfig(), testINIC(t, false), testINIC(t, false), 1024, 100*time.Nanosecond)
+	dn, _ := OneWayLatencyWithConfig(DefaultConfig(), testDNIC(t, false), testDNIC(t, false), 1024, 100*time.Nanosecond)
 	if !(nd.Total < in.Total && in.Total < dn.Total) {
 		t.Fatalf("ordering: ND %v iNIC %v dNIC %v", nd.Total, in.Total, dn.Total)
 	}
@@ -76,7 +70,7 @@ func TestConfigTable(t *testing.T) {
 }
 
 func TestRunFig4Defaults(t *testing.T) {
-	rows := RunFig4(nil, 100*time.Nanosecond, 0)
+	rows := must[[]Fig4Result](t)(RunFig4WithConfig(DefaultConfig(), nil, 100*time.Nanosecond, 0))
 	if len(rows) != 8 {
 		t.Fatalf("rows = %d, want the 8 paper sizes", len(rows))
 	}
@@ -88,7 +82,7 @@ func TestRunFig4Defaults(t *testing.T) {
 }
 
 func TestRunFig11Defaults(t *testing.T) {
-	rows, err := RunFig11([]int{64, 1024}, 100*time.Nanosecond, 0)
+	rows, err := RunFig11WithConfig(DefaultConfig(), []int{64, 1024}, 100*time.Nanosecond, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +94,7 @@ func TestRunFig11Defaults(t *testing.T) {
 }
 
 func TestRunFig7(t *testing.T) {
-	pts := RunFig7()
+	pts := must[[]Fig7Result](t)(RunFig7WithConfig(DefaultConfig()))
 	if len(pts) != 144 {
 		t.Fatalf("points = %d", len(pts))
 	}

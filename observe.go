@@ -113,7 +113,7 @@ func RunFaultSweepObserved(cfg Config, rates []float64, packets int, seed uint64
 		return nil, nil, nil, err
 	}
 	if len(rates) == 0 {
-		rates = []float64{0, 0.001, 0.01, 0.05, 0.1, 0.2}
+		rates = defaultLossRates
 	}
 	fcfg := experiments.DefaultFaultSweepConfig()
 	fcfg.Packets = packets

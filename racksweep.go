@@ -10,35 +10,35 @@ import (
 // the rack-count sweep: end-to-end latency statistics over delivered
 // packets, plus the cell's fabric tallies.
 type RackSweepResult struct {
-	Arch string
+	Arch string `csv:"arch"`
 	// Racks is the leaf count of the cell's leaf/spine clos.
-	Racks int
+	Racks int `csv:"racks"`
 	// ECN reports whether the cell ran with marking and sender backoff.
-	ECN bool
+	ECN bool `csv:"ecn"`
 	// OfferedLoad is each host's injected fraction of its own line rate.
-	OfferedLoad float64
-	Mean        time.Duration
-	P50         time.Duration
-	P99         time.Duration
-	P999        time.Duration
+	OfferedLoad float64       `csv:"offered_load"`
+	Mean        time.Duration `csv:"mean_ns"`
+	P50         time.Duration `csv:"p50_ns"`
+	P99         time.Duration `csv:"p99_ns"`
+	P999        time.Duration `csv:"p999_ns"`
 	// Delivered counts packets that completed end to end; Dropped counts
 	// frames tail-dropped at any hop (uplink, leaf or spine queue).
-	Delivered int
-	Dropped   int
+	Delivered int `csv:"delivered"`
+	Dropped   int `csv:"dropped"`
 	// Marked counts frames freshly ECN-marked at any fabric queue.
-	Marked int
+	Marked int `csv:"marked"`
 	// CrossRack counts packets whose destination lay in another rack (and
 	// therefore crossed the spine layer).
-	CrossRack int
+	CrossRack int `csv:"cross_rack"`
 	// LeafMaxDepth and SpineMaxDepth are the deepest output queues seen at
 	// each fabric layer.
-	LeafMaxDepth  int
-	SpineMaxDepth int
+	LeafMaxDepth  int `csv:"leaf_max_depth"`
+	SpineMaxDepth int `csv:"spine_max_depth"`
 	// RxMaxDepth is the deepest receiver driver queue across all hosts.
-	RxMaxDepth int
+	RxMaxDepth int `csv:"rx_max_depth"`
 	// LinkUtilization is delivered wire occupancy averaged over all host
 	// links and the cell's makespan, in [0,1].
-	LinkUtilization float64
+	LinkUtilization float64 `csv:"link_util" fmt:"%.4f"`
 }
 
 // RackKneeResult is one (arch, racks, ECN) curve's detected saturation
@@ -55,21 +55,15 @@ type RackKneeResult struct {
 	Saturated bool
 }
 
-// RunRackSweep runs the rack-count sweep on the default configuration: for
-// each architecture, rack count and ECN setting, 256 hosts spread over a
-// leaf/spine clos exchange cluster-mix traffic (destinations follow the
-// published flow-locality shares, so most database traffic crosses the
-// spine layer) and the end-to-end latency distribution is measured over
-// every delivered packet. racks is the leaf-count axis (nil = {2, 4, 8}),
-// loads are per-host fractions of the line rate (nil = a geometric grid
-// bracketing each architecture's knee), packets is the total arrival
-// count per cell (0 = 4000).
-func RunRackSweep(racks []int, loads []float64, packets int, seed uint64, parallelism int) ([]RackSweepResult, []RackKneeResult, error) {
-	return RunRackSweepWithConfig(DefaultConfig(), racks, loads, packets, seed, parallelism)
-}
-
-// RunRackSweepWithConfig is RunRackSweep on the system described by cfg.
-// The traffic shape — host count, cluster distribution, arrival process,
+// RunRackSweepWithConfig runs the rack-count sweep on the system described
+// by cfg: for each architecture, rack count and ECN setting, 256 hosts
+// spread over a leaf/spine clos exchange cluster-mix traffic (destinations
+// follow the published flow-locality shares, so most database traffic
+// crosses the spine layer) and the end-to-end latency distribution is
+// measured over every delivered packet. racks is the leaf-count axis (nil
+// = {2, 4, 8}), loads are per-host fractions of the line rate (nil = a
+// geometric grid bracketing each architecture's knee), packets is the
+// total arrival count per cell (0 = 4000). The traffic shape — host count, cluster distribution, arrival process,
 // port buffering, knee factor, sharding — comes from cfg.Load (a zero
 // Hosts means 256); the clos shape and ECN tuning come from cfg.Fabric (a
 // pinned Leaves replaces the racks axis, a set ECNThreshold tunes the
