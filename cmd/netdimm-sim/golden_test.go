@@ -32,6 +32,22 @@ var cliGoldens = []struct {
 	{"loadsweep-default.csv", []string{"-csv", "loadsweep"}},
 	{"failsweep-default.csv", []string{"-csv", "failsweep"}},
 	{"collsweep-default.csv", []string{"-csv", "collsweep"}},
+	// Text tables: they carry the %v-formatted durations, saturation
+	// knees, Fig. 11 reductions and headline averages the CSVs omit.
+	{"fig4-default.txt", []string{"fig4"}},
+	{"fig7-default.txt", []string{"fig7"}},
+	{"fig11-pcie-gen3.txt", []string{"-scenario", "pcie-gen3", "fig11"}},
+	{"fig12a-default.txt", []string{"fig12a"}},
+	{"fig12b-default.txt", []string{"fig12b"}},
+	{"ablation-default.txt", []string{"ablation"}},
+	{"bandwidth-default.txt", []string{"bandwidth"}},
+	{"headline-default.txt", []string{"headline"}},
+	{"mixed-default.txt", []string{"mixed"}},
+	{"faultsweep-metrics.txt", []string{"-metrics", "faultsweep"}},
+	{"loadsweep-default.txt", []string{"loadsweep"}},
+	{"failsweep-default.txt", []string{"failsweep"}},
+	{"collsweep-ranks.txt", []string{"-ranks", "4,8", "collsweep"}},
+	{"racksweep-small.txt", []string{"-n", "200", "-hosts", "32", "-racks", "2", "-rate", "0.05,0.2", "racksweep"}},
 }
 
 // cliBin is the command built once for the tests that drive it.
