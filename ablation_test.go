@@ -47,7 +47,7 @@ func TestRunAblations(t *testing.T) {
 }
 
 func TestRunMixedChannel(t *testing.T) {
-	r, err := RunMixedChannelWithConfig(DefaultConfig(), 200, 5)
+	r, _, err := RunMixedChannelObserved(DefaultConfig(), 200, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestRunMixedChannel(t *testing.T) {
 func TestReplayTraceFileAPI(t *testing.T) {
 	// Generate a trace in memory via the internal writer path used by the
 	// CLI, then replay it through the public API.
-	events := GenerateTrace(Hadoop, 100, 3)
+	events := must[[]TraceEvent](t)(GenerateTrace(Hadoop, 100, 3))
 	if len(events) != 100 {
 		t.Fatal("trace generation failed")
 	}

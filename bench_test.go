@@ -10,6 +10,8 @@ import (
 	"fmt"
 	"testing"
 	"time"
+
+	"netdimm/internal/netfunc"
 )
 
 // BenchmarkTable1 exercises constructing the paper's Table 1 system
@@ -136,10 +138,10 @@ func BenchmarkFig12b(b *testing.B) {
 	}
 	var dpiWorst, l3fBest float64
 	for _, r := range rows {
-		if r.Function == DeepInspect && r.Norm-1 > dpiWorst {
+		if r.Function == netfunc.DPI && r.Norm-1 > dpiWorst {
 			dpiWorst = r.Norm - 1
 		}
-		if r.Function == L3Forwarding && 1-r.Norm > l3fBest {
+		if r.Function == netfunc.L3F && 1-r.Norm > l3fBest {
 			l3fBest = 1 - r.Norm
 		}
 	}

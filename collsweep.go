@@ -1,46 +1,12 @@
 package netdimm
 
-import (
-	"time"
-
-	"netdimm/internal/experiments"
-)
+import "netdimm/internal/experiments"
 
 // CollSweepResult is one (architecture, operation, rank count) cell of the
 // collective-communication sweep: the makespan of one Ring AllReduce, tree
 // Broadcast or Reduce-Scatter over the fabric, with per-step skew and the
 // cell's wire tallies.
-type CollSweepResult struct {
-	Arch string `csv:"arch"`
-	// Op is the collective operation: "allreduce", "broadcast" or
-	// "reducescatter".
-	Op string `csv:"op"`
-	// Ranks is the number of participating hosts.
-	Ranks int `csv:"ranks"`
-	// PayloadBytes is each rank's full vector size in bytes.
-	PayloadBytes int `csv:"payload_bytes"`
-	// Steps is the schedule depth (2(N-1) for the ring allreduce, N-1 for
-	// the reduce-scatter ring, ceil(log2 N) rounds for the tree broadcast).
-	Steps int `csv:"steps"`
-	// Completion is the time the slowest rank finished its schedule.
-	Completion time.Duration `csv:"completion_ns"`
-	// StepSkew is the worst finish-time spread across ranks at any single
-	// schedule step — the synchronization cost the collective pays per step.
-	StepSkew time.Duration `csv:"step_skew_ns"`
-	// BytesOnWire counts delivered frame bytes including Ethernet overhead.
-	BytesOnWire int64 `csv:"bytes_on_wire"`
-	// Frames and Delivered count injected and delivered fabric frames;
-	// Dropped counts tail drops (any drop stalls the dependency graph and
-	// turns into a diagnostic error, so successful rows report 0); Marked
-	// counts freshly ECN-marked frames.
-	Frames    int `csv:"frames"`
-	Delivered int `csv:"delivered"`
-	Dropped   int `csv:"dropped"`
-	Marked    int `csv:"marked"`
-	// LinkUtilization is delivered wire occupancy averaged over every
-	// rank's link and the collective's makespan, in [0,1].
-	LinkUtilization float64 `csv:"link_util" fmt:"%.4f"`
-}
+type CollSweepResult = experiments.CollRow
 
 // RunCollSweepWithConfig runs the collective sweep on the system described
 // by cfg: for each architecture, operation and rank count, the ranks run
@@ -71,27 +37,6 @@ func RunCollSweepObserved(cfg Config, ranks []int, ops []string, seed uint64, pa
 	}
 	ccfg := experiments.DefaultCollSweepConfig()
 	ccfg.Seed = seed
-	rows, o, err := experiments.CollSweepObserved(cfg.spec(), ranks, ops, ccfg, parallelism, cfg.Obs)
-	if err != nil {
-		return nil, nil, err
-	}
-	out := make([]CollSweepResult, len(rows))
-	for i, r := range rows {
-		out[i] = CollSweepResult{
-			Arch:            r.Arch,
-			Op:              r.Op,
-			Ranks:           r.Ranks,
-			PayloadBytes:    r.PayloadBytes,
-			Steps:           r.Steps,
-			Completion:      toDuration(r.Completion),
-			StepSkew:        toDuration(r.StepSkew),
-			BytesOnWire:     r.BytesOnWire,
-			Frames:          r.Frames,
-			Delivered:       r.Delivered,
-			Dropped:         r.Dropped,
-			Marked:          r.Marked,
-			LinkUtilization: r.LinkUtilization,
-		}
-	}
-	return out, newObservation(o), nil
+	rows, o, err := experiments.CollSweepObserved(cfg, ranks, ops, ccfg, parallelism, cfg.Obs)
+	return rows, newObservation(o), err
 }

@@ -1,9 +1,6 @@
 package netdimm
 
 import (
-	"fmt"
-	"strings"
-
 	"netdimm/internal/collective"
 	"netdimm/internal/fabric"
 	"netdimm/internal/fault"
@@ -14,184 +11,49 @@ import (
 
 // FaultConfig configures deterministic fault injection (packet loss,
 // corruption, switch-port tail drops, NVDIMM-P RDY timeouts) and the
-// retry/backoff policies that recover from it. It aliases the internal
-// fault.Spec so Config converts to the derivation form directly; the zero
-// value disables all injection and changes no experiment output.
+// retry/backoff policies that recover from it: the type of Config.Fault.
+// The zero value disables all injection and changes no experiment output.
 type FaultConfig = fault.Spec
 
 // ObsConfig selects observability collection: Trace records per-packet
 // lifecycle spans for Chrome trace-event export, Metrics collects named
-// counters and time series. It aliases the internal obs.Spec so Config
-// converts to the derivation form directly; the zero value disables all
-// instrumentation and changes no experiment output.
+// counters and time series: the type of Config.Obs. The zero value
+// disables all instrumentation and changes no experiment output.
 type ObsConfig = obs.Spec
 
 // LoadConfig shapes the rack-scale load sweep's traffic: how many sender
 // hosts fan in to the one receiver (the incast knob), which cluster
 // distribution and arrival process generate packets, the egress buffer
-// depth and the saturation-knee factor. It aliases the internal
-// workload.LoadSpec so Config converts to the derivation form directly;
-// the zero value selects the sweep defaults and affects no other
-// experiment's output.
+// depth and the saturation-knee factor: the type of Config.Load. The zero
+// value selects the sweep defaults and affects no other experiment's
+// output.
 type LoadConfig = workload.LoadSpec
 
 // FabricConfig shapes the switched network topology: how many leaf (rack)
 // and spine switches the clos has, the ECMP flow-hash seed, and the ECN
-// congestion signal (marking threshold and sender backoff). It aliases the
-// internal fabric.Spec so Config converts to the derivation form directly;
-// the zero value is the degenerate single-switch fabric every experiment
-// built before the fabric plane existed and changes no output.
+// congestion signal (marking threshold and sender backoff): the type of
+// Config.Fabric. The zero value is the degenerate single-switch fabric
+// every experiment built before the fabric plane existed and changes no
+// output.
 type FabricConfig = fabric.Spec
 
 // CollectiveConfig shapes the collective-communication sweep (the
 // `collsweep` experiment): which operation runs (ring allreduce, tree
 // broadcast, reduce-scatter), over how many ranks, moving how much data in
-// what chunk sizes. It aliases the internal collective.Spec so Config
-// converts to the derivation form directly; the zero value selects the
-// sweep defaults (all three ops over the 4–128 rank grid) and affects no
-// other experiment's output.
+// what chunk sizes: the type of Config.Collective. The zero value selects
+// the sweep defaults (all three ops over the 4–128 rank grid) and affects
+// no other experiment's output.
 type CollectiveConfig = collective.Spec
 
 // Config is the simulated system configuration — the paper's Table 1. It is
 // the single authoritative system specification: every machine constructor
 // and experiment runner derives its per-package parameters (software costs,
 // device config, DRAM timing, PCIe link, Ethernet fabric, NET_i zone
-// placement) from one validated Config.
-type Config struct {
-	Cores         int
-	CoreGHz       float64
-	SuperscalarW  int
-	ROBEntries    int
-	IQEntries     int
-	LQEntries     int
-	SQEntries     int
-	L1ISizeKB     int
-	L1DSizeKB     int
-	L2SizeMB      int
-	L1ILatCycles  int
-	L1DLatCycles  int
-	L2LatCycles   int
-	DRAM          string
-	DRAMSizeGB    int
-	MemChannels   int
-	NetworkGbps   int
-	SwitchLatNs   int
-	NetDIMMs      int
-	PCIe          string
-	NetDIMMSizeGB int
-	// Fault injects deterministic network and memory-protocol faults; see
-	// FaultConfig. Leave zero for the paper's fault-free experiments.
-	Fault FaultConfig
-	// Obs enables observability collection; see ObsConfig. Leave zero for
-	// uninstrumented runs (the default for every pinned golden output).
-	Obs ObsConfig
-	// Load shapes the rack-scale load sweep (the `loadsweep` experiment);
-	// see LoadConfig. Leave zero for the sweep defaults.
-	Load LoadConfig
-	// Fabric shapes the switched topology the load and rack sweeps build
-	// (leaf/spine clos, ECMP, ECN); see FabricConfig. Leave zero for the
-	// single-switch incast.
-	Fabric FabricConfig
-	// Collective shapes the collective-communication sweep (the `collsweep`
-	// experiment); see CollectiveConfig. Leave zero for the sweep defaults.
-	Collective CollectiveConfig
-}
+// placement) from one validated Config. It aliases the internal spec.Spec,
+// whose methods it carries: Validate returns an actionable error for the
+// first inconsistency (every entry point that accepts a Config validates it
+// first), and Table renders it as the paper's Table 1.
+type Config = spec.Spec
 
 // DefaultConfig returns Table 1 of the paper.
-func DefaultConfig() Config {
-	return Config{
-		Cores:         8,
-		CoreGHz:       3.4,
-		SuperscalarW:  3,
-		ROBEntries:    40,
-		IQEntries:     32,
-		LQEntries:     16,
-		SQEntries:     16,
-		L1ISizeKB:     32,
-		L1DSizeKB:     64,
-		L2SizeMB:      2,
-		L1ILatCycles:  1,
-		L1DLatCycles:  2,
-		L2LatCycles:   12,
-		DRAM:          "DDR4-2400",
-		DRAMSizeGB:    16,
-		MemChannels:   2,
-		NetworkGbps:   40,
-		SwitchLatNs:   100,
-		NetDIMMs:      1,
-		PCIe:          "x8 PCIe Gen4",
-		NetDIMMSizeGB: 16,
-	}
-}
-
-// Validate checks the configuration for internal consistency and returns
-// an actionable error for the first violation found: unknown DRAM or PCIe
-// strings, impossible cache geometries, more NetDIMMs than DIMM slots, and
-// so on. Every entry point that accepts a Config validates it first.
-func (c Config) Validate() error {
-	return spec.Spec(c).Validate()
-}
-
-// spec converts the configuration to the internal derivation form (the two
-// structs mirror each other field for field).
-func (c Config) spec() spec.Spec { return spec.Spec(c) }
-
-// derive validates the configuration and resolves it into every
-// per-package parameter set.
-func (c Config) derive() (*spec.Derived, error) { return spec.Spec(c).Derive() }
-
-// Table renders the configuration as the paper's Table 1.
-func (c Config) Table() string {
-	var sb strings.Builder
-	row := func(k, v string) { fmt.Fprintf(&sb, "%-34s %s\n", k, v) }
-	sb.WriteString("Table 1: System configuration.\n")
-	row("Cores (# cores, freq):", fmt.Sprintf("(%d, %.1fGHz)", c.Cores, c.CoreGHz))
-	row("Superscalar", fmt.Sprintf("%d ways", c.SuperscalarW))
-	row("ROB/IQ/LQ/SQ entries", fmt.Sprintf("%d/%d/%d/%d", c.ROBEntries, c.IQEntries, c.LQEntries, c.SQEntries))
-	row("Caches (size): I/D/L2", fmt.Sprintf("%dKB/%dKB/%dMB", c.L1ISizeKB, c.L1DSizeKB, c.L2SizeMB))
-	row("L1I/L1D/L2 latency", fmt.Sprintf("%d/%d/%d cycles", c.L1ILatCycles, c.L1DLatCycles, c.L2LatCycles))
-	row("DRAM", fmt.Sprintf("%s/%dGB/%d channels", c.DRAM, c.DRAMSizeGB, c.MemChannels))
-	row("Network/Switch latency/#NetDIMM", fmt.Sprintf("%dGbE/%dns/%d", c.NetworkGbps, c.SwitchLatNs, c.NetDIMMs))
-	row("PCIe performance", c.PCIe)
-	row("NetDIMM capacity", fmt.Sprintf("%dGB (two 8GB ranks)", c.NetDIMMSizeGB))
-	if c.Fault.Enabled() {
-		row("Fault injection", c.Fault.String())
-	}
-	if c.Load != (LoadConfig{}) {
-		hosts := c.Load.Hosts
-		if hosts == 0 {
-			hosts = 8
-		}
-		row("Load sweep", fmt.Sprintf("%d hosts incast, %s/%s traffic",
-			hosts, orDefault(c.Load.Cluster, "database"), orDefault(c.Load.Process, "poisson")))
-	}
-	if c.Fabric != (FabricConfig{}) {
-		f := c.Fabric.Resolved()
-		ecn := "off"
-		if f.ECNThreshold > 0 {
-			ecn = fmt.Sprintf("mark@%d, backoff %dns", f.ECNThreshold, f.ECNBackoffNs)
-		}
-		row("Fabric", fmt.Sprintf("%d leaves x %d spines, ECN %s", f.Leaves, f.Spines, ecn))
-	}
-	if c.Collective != (CollectiveConfig{}) {
-		payload := c.Collective.PayloadBytes
-		if payload == 0 {
-			payload = collective.DefaultPayloadBytes
-		}
-		ranks := "4-128 ranks"
-		if c.Collective.Ranks != 0 {
-			ranks = fmt.Sprintf("%d ranks", c.Collective.Ranks)
-		}
-		row("Collective", fmt.Sprintf("%s, %s, %dB payload",
-			orDefault(c.Collective.Op, "all ops"), ranks, payload))
-	}
-	return sb.String()
-}
-
-// orDefault substitutes def for an empty string.
-func orDefault(s, def string) string {
-	if s == "" {
-		return def
-	}
-	return s
-}
+func DefaultConfig() Config { return spec.TableOne() }

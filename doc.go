@@ -33,12 +33,17 @@
 //	lat, _ := netdimm.OneWayLatencyWithConfig(cfg, tx, rx, 256, 100*time.Nanosecond)
 //	fmt.Println(lat.Total, lat.IOReg, lat.TxFlush)
 //
-// Experiment runners (RunFig4WithConfig, RunFig5WithConfig,
-// RunFig7WithConfig, RunFig11WithConfig, RunFig12aWithConfig,
-// RunFig12bWithConfig, RunAblationsWithConfig, RunHeadlineWithConfig and
-// the Fault/Load/Rack/Fail/CollSweep runners, whose Observed forms also
-// return instrumentation) regenerate the paper's evaluation on any
-// Config. Every family with a CSV is declared once in the family registry
-// (LookupFamily, CampaignSchemas): cmd/netdimm-sim and the campaign
-// harness run them through Family.Run.
+// Experiment runners regenerate the paper's evaluation on any Config:
+// RunFig4WithConfig, RunFig5WithConfig, RunFig7WithConfig,
+// RunFig11WithConfig, RunFig12aWithConfig, RunFig12bWithConfig,
+// RunBandwidthWithConfig, RunAblationsWithConfig, RunHeadlineWithConfig,
+// ReplayTraceFileWithConfig and RunLoadSweepWithConfig,
+// RunRackSweepWithConfig and RunCollSweepWithConfig; the Observed forms
+// (RunFig11Observed, RunFaultSweepObserved, RunLoadSweepObserved,
+// RunRackSweepObserved, RunFailSweepObserved, RunCollSweepObserved,
+// RunMixedChannelObserved) also return instrumentation. Each result type
+// is an alias of the row its internal runner builds. Every family with a
+// CSV is declared once in the family registry (LookupFamily,
+// CampaignSchemas): cmd/netdimm-sim and the campaign harness run them
+// through Family.Run.
 package netdimm

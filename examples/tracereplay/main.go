@@ -22,7 +22,10 @@ func main() {
 
 	// First show what the three cluster workloads look like.
 	for _, cluster := range netdimm.AllClusters {
-		events := netdimm.GenerateTrace(cluster, 5000, 42)
+		events, err := netdimm.GenerateTrace(cluster, 5000, 42)
+		if err != nil {
+			log.Fatal(err)
+		}
 		var small, mtu, bytes int
 		locs := map[string]int{}
 		for _, e := range events {

@@ -13,10 +13,13 @@ import (
 )
 
 func writeTraceForTest(w io.Writer, c ClusterName, seed uint64, n int) error {
-	gen := workload.NewGenerator(c.internal(), 0, seed)
-	events := gen.Generate(n)
+	cl, err := workload.ParseCluster(string(c))
+	if err != nil {
+		return err
+	}
+	events := workload.NewGenerator(cl, 0, seed).Generate(n)
 	return trace.Write(w, trace.Header{
-		Cluster: c.internal(),
+		Cluster: cl,
 		Seed:    seed,
 		Count:   uint32(n),
 	}, events)

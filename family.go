@@ -90,12 +90,7 @@ var families = []Family{
 		row:      reflect.TypeFor[Fig11Row](),
 		run: func(cfg Config, _ uint64, ax Axes, par int) (FamilyRun, error) {
 			rows, ob, err := RunFig11Observed(cfg, ax.Sizes, switchLatency(ax), par)
-			var flat []Fig11Row
-			for _, r := range rows {
-				flat = append(flat, Fig11Row{r.Size, "dNIC", r.DNIC}, Fig11Row{r.Size, "iNIC", r.INIC},
-					Fig11Row{r.Size, "NetDIMM", r.NetDIMM})
-			}
-			return FamilyRun{Rows: flat, Extra: rows, Obs: ob}, err
+			return FamilyRun{Rows: experiments.Fig11Rows(rows), Extra: rows, Obs: ob}, err
 		},
 	},
 	{
@@ -122,7 +117,7 @@ var families = []Family{
 		MinRows: 4, row: reflect.TypeFor[AblationRow](),
 		run: func(cfg Config, _ uint64, _ Axes, par int) (FamilyRun, error) {
 			rep, err := RunAblationsWithConfig(cfg, par)
-			return FamilyRun{Rows: rep.rows(), Extra: rep}, err
+			return FamilyRun{Rows: rep.Rows(), Extra: rep}, err
 		},
 	},
 	{

@@ -6,6 +6,7 @@ import (
 	"netdimm/internal/dram"
 	"netdimm/internal/ethernet"
 	"netdimm/internal/nic"
+	"netdimm/internal/obs"
 	"netdimm/internal/sim"
 	"netdimm/internal/stats"
 )
@@ -197,6 +198,30 @@ func TestOneWayOrdering(t *testing.T) {
 		if !(ndB.Total() < inB.Total() && inB.Total() < dnB.Total()) {
 			t.Errorf("size %d: NetDIMM %v, iNIC %v, dNIC %v — ordering violated",
 				size, ndB.Total(), inB.Total(), dnB.Total())
+		}
+	}
+}
+
+// TestOneWayObservedSpanSumsExact pins, to the picosecond, the invariant
+// the exported Fig. 11 trace relies on: for every architecture, the spans
+// on each per-component track sum to that component's entry in the
+// returned breakdown.
+func TestOneWayObservedSpanSumsExact(t *testing.T) {
+	for _, size := range []int{64, 1024, 1514} {
+		c := obs.New(obs.Spec{Trace: true}, "oneway").Cell(0)
+		pairs := [][2]Machine{
+			{NewDNICMachine(false), NewDNICMachine(false)},
+			{NewINICMachine(false), NewINICMachine(false)},
+			{newND(t), newND(t)},
+		}
+		for _, m := range pairs {
+			b := OneWayObserved(m[0], m[1], pkt(size), fabric(), c)
+			for comp, want := range b {
+				track := m[0].Name() + "/" + string(comp)
+				if got := c.Track(track).Sum(); got != want {
+					t.Errorf("size %d: track %q spans sum to %v, breakdown says %v", size, track, got, want)
+				}
+			}
 		}
 	}
 }

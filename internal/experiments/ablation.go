@@ -1,6 +1,9 @@
 package experiments
 
 import (
+	"fmt"
+	"time"
+
 	"netdimm/internal/addrmap"
 	"netdimm/internal/core"
 	"netdimm/internal/dram"
@@ -14,12 +17,61 @@ import (
 // paper argues for (Sec. 4): the nPrefetcher, the nCache header caching,
 // sub-array-affine allocation (FPM cloning), and the allocCache fast path.
 
+// AblationReport bundles the four design-choice ablation studies.
+type AblationReport struct {
+	Prefetch    []PrefetchAblationRow
+	Clone       []CloneAblationRow
+	Alloc       []AllocAblationRow
+	HeaderCache []HeaderCacheAblationRow
+}
+
+// Ablations runs all four studies at their default sizes. parallelism fans
+// out the prefetch and header-cache studies; the clone and alloc studies
+// are inherently sequential.
+func Ablations(sp spec.Spec, parallelism int) (AblationReport, error) {
+	rep := AblationReport{Prefetch: PrefetchAblation(sp, nil, 0, parallelism), Clone: CloneAblation(sp)}
+	var err error
+	if rep.Alloc, err = AllocAblation(sp, 0); err != nil {
+		return AblationReport{}, err
+	}
+	rep.HeaderCache = HeaderCacheAblation(sp, 0, parallelism)
+	return rep, nil
+}
+
+// AblationRow is one line of the ablation CSV: the study, the variant it
+// measured, that variant's latency and, for studies that have one, its
+// rate (hit rate or FPM rate).
+type AblationRow struct {
+	Section string        `csv:"section"`
+	Variant string        `csv:"variant"`
+	Latency time.Duration `csv:"latency_ns"`
+	Rate    *float64      `csv:"rate" fmt:"%.4f"`
+}
+
+// Rows flattens the report into its CSV rows.
+func (rep AblationReport) Rows() []AblationRow {
+	var out []AblationRow
+	for _, r := range rep.Prefetch {
+		out = append(out, AblationRow{"prefetch", fmt.Sprintf("degree-%d", r.Degree), r.MeanReadLat, &r.HitRate})
+	}
+	for _, r := range rep.Clone {
+		out = append(out, AblationRow{"clone", r.Strategy, r.PerClone, nil})
+	}
+	for _, r := range rep.Alloc {
+		out = append(out, AblationRow{"alloc", r.Strategy, r.PerAlloc, &r.FPMRate})
+	}
+	for _, r := range rep.HeaderCache {
+		out = append(out, AblationRow{"headercache", r.Strategy, r.HeaderRead, &r.HitRate})
+	}
+	return out
+}
+
 // PrefetchAblationRow reports payload-read behaviour for one prefetch
 // degree.
 type PrefetchAblationRow struct {
 	Degree      int
-	HitRate     float64  // nCache hit rate over payload reads
-	MeanReadLat sim.Time // mean host payload-read latency
+	HitRate     float64       // nCache hit rate over payload reads
+	MeanReadLat time.Duration // mean host payload-read latency
 }
 
 // PrefetchAblation receives MTU packets and reads their full payload
@@ -63,7 +115,7 @@ func PrefetchAblation(sp spec.Spec, degrees []int, packets int, parallelism int)
 		row := PrefetchAblationRow{Degree: deg}
 		if total > 0 {
 			row.HitRate = float64(hits) / float64(total)
-			row.MeanReadLat = latSum / sim.Time(total)
+			row.MeanReadLat = (latSum / sim.Time(total)).Duration()
 		}
 		rows[cell] = row
 	})
@@ -74,7 +126,7 @@ func PrefetchAblation(sp spec.Spec, degrees []int, packets int, parallelism int)
 // copy, and the CPU-copy alternative.
 type CloneAblationRow struct {
 	Strategy string
-	PerClone sim.Time
+	PerClone time.Duration
 }
 
 // CloneAblation quantifies why sub-array-affine allocation matters (paper
@@ -92,17 +144,17 @@ func CloneAblation(sp spec.Spec) []CloneAblationRow {
 	gcmDst := src + addrmap.RankBytes  // other rank
 
 	return []CloneAblationRow{
-		{Strategy: "FPM (same sub-array, hinted alloc)", PerClone: dev.CloneLatency(fpmDst, src, nic.MTU)},
-		{Strategy: "PSM (same rank, unhinted)", PerClone: dev.CloneLatency(psmDst, src, nic.MTU)},
-		{Strategy: "GCM (cross-rank)", PerClone: dev.CloneLatency(gcmDst, src, nic.MTU)},
-		{Strategy: "CPU memcpy (no in-memory cloning)", PerClone: costs.CopyTime(nic.MTU)},
+		{Strategy: "FPM (same sub-array, hinted alloc)", PerClone: dev.CloneLatency(fpmDst, src, nic.MTU).Duration()},
+		{Strategy: "PSM (same rank, unhinted)", PerClone: dev.CloneLatency(psmDst, src, nic.MTU).Duration()},
+		{Strategy: "GCM (cross-rank)", PerClone: dev.CloneLatency(gcmDst, src, nic.MTU).Duration()},
+		{Strategy: "CPU memcpy (no in-memory cloning)", PerClone: costs.CopyTime(nic.MTU).Duration()},
 	}
 }
 
 // AllocAblationRow compares DMA-buffer allocation strategies.
 type AllocAblationRow struct {
 	Strategy string
-	PerAlloc sim.Time
+	PerAlloc time.Duration
 	// FPMRate is the fraction of RX clones that ran in FPM mode under the
 	// strategy.
 	FPMRate float64
@@ -134,7 +186,7 @@ func AllocAblation(sp spec.Spec, packets int) ([]AllocAblationRow, error) {
 	fpm := float64(s.ClonesFPM) / float64(s.ClonesFPM+s.ClonesOther)
 	rows := []AllocAblationRow{{
 		Strategy: "allocCache (pre-allocated, affine)",
-		PerAlloc: costs.AllocCacheLookup,
+		PerAlloc: costs.AllocCacheLookup.Duration(),
 		FPMRate:  fpm,
 	}}
 
@@ -142,7 +194,7 @@ func AllocAblation(sp spec.Spec, packets int) ([]AllocAblationRow, error) {
 	// affinity, but the slow allocator runs on the critical path.
 	rows = append(rows, AllocAblationRow{
 		Strategy: "__alloc_netdimm_pages(hint) per packet",
-		PerAlloc: costs.AllocCacheLookup + costs.SlowAllocPages,
+		PerAlloc: (costs.AllocCacheLookup + costs.SlowAllocPages).Duration(),
 		FPMRate:  fpm,
 	})
 
@@ -161,7 +213,7 @@ func AllocAblation(sp spec.Spec, packets int) ([]AllocAblationRow, error) {
 	}
 	rows = append(rows, AllocAblationRow{
 		Strategy: "no hint (sequential pages)",
-		PerAlloc: costs.SlowAllocPages,
+		PerAlloc: costs.SlowAllocPages.Duration(),
 		FPMRate:  float64(fpmCount) / float64(total),
 	})
 	return rows, nil
@@ -171,7 +223,7 @@ func AllocAblation(sp spec.Spec, packets int) ([]AllocAblationRow, error) {
 // nCache.
 type HeaderCacheAblationRow struct {
 	Strategy   string
-	HeaderRead sim.Time
+	HeaderRead time.Duration
 	HitRate    float64
 }
 
@@ -217,7 +269,7 @@ func HeaderCacheAblation(sp spec.Spec, packets int, parallelism int) []HeaderCac
 		}
 		return HeaderCacheAblationRow{
 			Strategy:   name,
-			HeaderRead: latSum / sim.Time(total),
+			HeaderRead: (latSum / sim.Time(total)).Duration(),
 			HitRate:    float64(hits) / float64(total),
 		}
 	}

@@ -99,7 +99,7 @@ func TestBandwidthSustained(t *testing.T) {
 	for _, r := range rows {
 		// Paper Sec. 5.2: NetDIMM delivers 40Gbps just like the PCIe and
 		// integrated NIC models.
-		if !r.Sustained() {
+		if !r.Sustained {
 			t.Errorf("%s did not sustain line rate: %.1f of %.1f Gbps", r.Arch, r.AchievedGbps, r.OfferedGbps)
 		}
 	}

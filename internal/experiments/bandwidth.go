@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"time"
+
 	"netdimm/internal/driver"
 	"netdimm/internal/nic"
 	"netdimm/internal/sim"
@@ -19,14 +21,11 @@ type BandwidthResult struct {
 	// AchievedGbps is the sustained delivery rate to the application.
 	AchievedGbps float64
 	// PerPacketRx is the mean RX processing time per MTU packet.
-	PerPacketRx sim.Time
+	PerPacketRx time.Duration
 	// ChannelHeadroom is offered NIC bandwidth / local channel bandwidth.
 	ChannelHeadroom float64
-}
-
-// Sustained reports whether the architecture keeps up with line rate.
-func (r BandwidthResult) Sustained() bool {
-	return r.AchievedGbps >= 0.95*r.OfferedGbps
+	// Sustained reports whether the architecture keeps up with line rate.
+	Sustained bool
 }
 
 // RSSCores is the number of cores the polling driver spreads flows over
@@ -104,7 +103,8 @@ func result(arch string, gap, perPkt sim.Time, wireBytes, channelBW float64) Ban
 		Arch:         arch,
 		OfferedGbps:  offered,
 		AchievedGbps: achieved,
-		PerPacketRx:  perPkt,
+		PerPacketRx:  perPkt.Duration(),
+		Sustained:    achieved >= 0.95*offered,
 	}
 	if channelBW > 0 {
 		r.ChannelHeadroom = offered * 1e9 / 8 / channelBW

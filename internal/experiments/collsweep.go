@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"math"
+	"time"
 
 	"netdimm/internal/collective"
 	"netdimm/internal/ethernet"
@@ -65,37 +66,37 @@ func (c CollSweepConfig) withDefaults() CollSweepConfig {
 // CollRow is one (architecture, operation, ranks) cell of the collective
 // sweep.
 type CollRow struct {
-	Arch string
+	Arch string `csv:"arch"`
 	// Op is the collective operation ("allreduce", "broadcast",
 	// "reducescatter").
-	Op string
+	Op string `csv:"op"`
 	// Ranks is the cell's rank count; each rank is one fabric host.
-	Ranks int
+	Ranks int `csv:"ranks"`
 	// PayloadBytes is each rank's vector size.
-	PayloadBytes int
+	PayloadBytes int `csv:"payload_bytes"`
 	// Steps is the longest rank schedule (2(N-1) for the allreduce ring,
 	// N-1 for reduce-scatter, the root's fan-out for the tree).
-	Steps int
+	Steps int `csv:"steps"`
 	// Completion is the operation's completion time: the instant the last
 	// rank finishes its last step.
-	Completion sim.Time
+	Completion time.Duration `csv:"completion_ns"`
 	// StepSkew is the worst per-step straggler spread across ranks.
-	StepSkew sim.Time
+	StepSkew time.Duration `csv:"step_skew_ns"`
 	// BytesOnWire totals delivered frame bytes including Ethernet overhead.
-	BytesOnWire int64
+	BytesOnWire int64 `csv:"bytes_on_wire"`
 	// Frames counts delivered wire frames; Delivered counts completed
 	// step messages (a message fragments into ceil(bytes/chunk) frames).
-	Frames    int
-	Delivered int
+	Frames    int `csv:"frames"`
+	Delivered int `csv:"delivered"`
 	// Dropped counts frames tail-dropped at any hop; any drop stalls the
 	// dependency graph and fails the cell.
-	Dropped int
+	Dropped int `csv:"dropped"`
 	// Marked counts frames freshly ECN-marked at any fabric queue (zero
 	// unless the spec's Fabric block enables ECN).
-	Marked int
+	Marked int `csv:"marked"`
 	// LinkUtilization is delivered wire occupancy averaged over all rank
 	// links and the cell's makespan, in [0,1].
-	LinkUtilization float64
+	LinkUtilization float64 `csv:"link_util" fmt:"%.4f"`
 }
 
 // CollSweepObserved runs the collective sweep: for every (architecture,
@@ -379,8 +380,8 @@ func collCell(sp spec.Spec, arch, opName string, ranks int, shape collShape, cfg
 		Ranks:           ranks,
 		PayloadBytes:    shape.payload,
 		Steps:           plan.MaxSteps(),
-		Completion:      exec.Completion(),
-		StepSkew:        exec.StepSkew(),
+		Completion:      exec.Completion().Duration(),
+		StepSkew:        exec.StepSkew().Duration(),
 		BytesOnWire:     bytesOnWire,
 		Frames:          frames,
 		Delivered:       messages,

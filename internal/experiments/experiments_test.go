@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"testing"
+	"time"
 
 	"netdimm/internal/driver"
 	"netdimm/internal/ethernet"
@@ -38,8 +39,8 @@ func TestFig4Shapes(t *testing.T) {
 	}
 	// Zero copy helps large packets more than small ones (Sec. 3).
 	first, last := rows[0], rows[len(rows)-1]
-	gainSmall := stats.Reduction(first.INIC, first.INICZcpy)
-	gainLarge := stats.Reduction(last.INIC, last.INICZcpy)
+	gainSmall := stats.Reduction(sim.FromDuration(first.INIC), sim.FromDuration(first.INICZcpy))
+	gainLarge := stats.Reduction(sim.FromDuration(last.INIC), sim.FromDuration(last.INICZcpy))
 	if gainLarge <= gainSmall {
 		t.Errorf("zcpy gain should grow with size: %.2f (10B) vs %.2f (2000B)", gainSmall, gainLarge)
 	}
@@ -59,25 +60,25 @@ func TestFig11PaperShape(t *testing.T) {
 	}
 	for _, r := range rows {
 		// Ordering at every size.
-		if !(r.NetDIMM.Total() < r.INIC.Total() && r.INIC.Total() < r.DNIC.Total()) {
+		if !(r.NetDIMM.Total < r.INIC.Total && r.INIC.Total < r.DNIC.Total) {
 			t.Errorf("size %d: ordering violated: ND %v iNIC %v dNIC %v",
-				r.Size, r.NetDIMM.Total(), r.INIC.Total(), r.DNIC.Total())
+				r.Size, r.NetDIMM.Total, r.INIC.Total, r.DNIC.Total)
 		}
 		// Paper Sec. 5.2: 46.1-52.3%% reductions for 64-1024B; allow a
 		// band of 40-60%%.
-		if red := r.ReductionVsDNIC(); red < 0.40 || red > 0.60 {
+		if red := r.ReductionVsDNIC; red < 0.40 || red > 0.60 {
 			t.Errorf("size %d: reduction vs dNIC = %.1f%%, want 40-60%%", r.Size, red*100)
 		}
 		// NetDIMM's flush+invalidate overhead is present but bounded
 		// (paper: 9.7-15.8%% combined).
-		share := r.NetDIMM.Share(stats.TxFlush) + r.NetDIMM.Share(stats.RxInvalidate)
+		share := float64(r.NetDIMM.TxFlush+r.NetDIMM.RxInvalidate) / float64(r.NetDIMM.Total)
 		if share <= 0.01 || share > 0.25 {
 			t.Errorf("size %d: flush+invalidate share %.1f%%", r.Size, share*100)
 		}
 		// iNIC and NetDIMM have tiny I/O register cost next to dNIC.
-		if r.NetDIMM[stats.IOReg] >= r.DNIC[stats.IOReg]/2 {
+		if r.NetDIMM.IOReg >= r.DNIC.IOReg/2 {
 			t.Errorf("size %d: NetDIMM ioreg %v not well below dNIC %v",
-				r.Size, r.NetDIMM[stats.IOReg], r.DNIC[stats.IOReg])
+				r.Size, r.NetDIMM.IOReg, r.DNIC.IOReg)
 		}
 	}
 	// Paper averages: 49.9%% vs dNIC, 25.9%% vs iNIC.
@@ -134,7 +135,7 @@ func TestFig7BurstStructure(t *testing.T) {
 	// cachelines) and sequential in address.
 	for b := 0; b < 6; b++ {
 		span := Fig7BurstSpan(pts, b)
-		if span < 50*sim.Nanosecond || span > 400*sim.Nanosecond {
+		if span < 50*time.Nanosecond || span > 400*time.Nanosecond {
 			t.Errorf("burst %d span %v, want ~100-300ns", b, span)
 		}
 	}
@@ -142,10 +143,10 @@ func TestFig7BurstStructure(t *testing.T) {
 	prev := -1
 	for _, p := range pts {
 		if p.Burst == 2 {
-			if prev >= 0 && p.RelLine != prev+1 {
-				t.Fatalf("burst 2 not sequential: %d after %d", p.RelLine, prev)
+			if prev >= 0 && p.RelCacheline != prev+1 {
+				t.Fatalf("burst 2 not sequential: %d after %d", p.RelCacheline, prev)
 			}
-			prev = p.RelLine
+			prev = p.RelCacheline
 		}
 	}
 	// Inter-burst gaps (wire pacing) dwarf intra-burst gaps (DMA pacing):
@@ -168,16 +169,16 @@ func TestFig12aPaperShape(t *testing.T) {
 	for _, r := range rows {
 		byCluster[r.Cluster] = append(byCluster[r.Cluster], r)
 		// NetDIMM always wins on average.
-		if r.NormVsDNIC() >= 1 || r.NormVsINIC() >= 1 {
+		if r.NormVsDNIC >= 1 || r.NormVsINIC >= 1 {
 			t.Errorf("%v @%v: NetDIMM did not win (%.3f vs dNIC, %.3f vs iNIC)",
-				r.Cluster, r.SwitchLatency, r.NormVsDNIC(), r.NormVsINIC())
+				r.Cluster, r.SwitchLatency, r.NormVsDNIC, r.NormVsINIC)
 		}
 	}
 	// Gains shrink as switch latency grows (paper: 40.6%% at 25ns down to
 	// 25.3%% at 200ns).
 	for cl, rs := range byCluster {
 		for i := 1; i < len(rs); i++ {
-			if rs[i].NormVsDNIC() < rs[i-1].NormVsDNIC() {
+			if rs[i].NormVsDNIC < rs[i-1].NormVsDNIC {
 				t.Errorf("%v: improvement should shrink with switch latency", cl)
 			}
 		}
@@ -192,7 +193,7 @@ func TestFig12aPaperShape(t *testing.T) {
 	// NetDIMM vs iNIC on traces: paper quotes 8.1-15.3%%; accept 5-20%%.
 	var sumI float64
 	for _, r := range rows {
-		sumI += 1 - r.NormVsINIC()
+		sumI += 1 - r.NormVsINIC
 	}
 	avgI := sumI / float64(len(rows))
 	if avgI < 0.05 || avgI > 0.25 {
@@ -211,7 +212,7 @@ func TestFig12bPaperShape(t *testing.T) {
 		if norms[r.Cluster] == nil {
 			norms[r.Cluster] = map[netfunc.Kind]float64{}
 		}
-		norms[r.Cluster][r.Kind] = r.Norm()
+		norms[r.Cluster][r.Function] = r.Norm
 	}
 	for cl, m := range norms {
 		// L3F: NetDIMM interferes less than iNIC (paper: 9.8-30.9%%

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"time"
 
 	"netdimm/internal/ethernet"
 	"netdimm/internal/fabric"
@@ -111,60 +112,59 @@ func (c FailSweepConfig) withDefaults() FailSweepConfig {
 // relative to the outage window; the failover and recovery tallies
 // describe how the cell absorbed the outage.
 type FailRow struct {
-	Arch string
+	Arch string `csv:"arch"`
 	// Outage is the swept spine-down window length; 0 is the baseline.
-	Outage sim.Time
+	Outage time.Duration `csv:"outage_ns"`
 	// Delivered counts packets that completed end to end (duplicates from
 	// spurious retransmits are counted once); Failed counts packets
 	// abandoned after the retry cap (always 0 with unlimited retries).
-	Delivered int
-	Failed    int
-	// DuringOffered / DuringDelivered count packets born inside the
-	// outage window and how many of them still delivered — the
-	// delivered-during-outage fraction.
-	DuringOffered   int
-	DuringDelivered int
+	Delivered int `csv:"delivered"`
+	Failed    int `csv:"failed"`
 	// Dropped counts frames lost anywhere before recovery: queue tail
 	// drops, down-element (outage) drops, burst losses and downed-uplink
 	// refusals.
-	Dropped int
+	Dropped int `csv:"dropped"`
 	// OutageDrops counts frames eaten by the down spine (in-flight frames
 	// included); BurstDrops frames lost to a scheduled Gilbert–Elliott
 	// process; Rerouted frames ECMP steered off their primary spine;
 	// Degraded frames forced onto the single-path fallback.
-	OutageDrops uint64
-	BurstDrops  uint64
-	Rerouted    uint64
+	OutageDrops uint64 `csv:"outage_drops"`
+	BurstDrops  uint64 `csv:"burst_drops"`
+	Rerouted    uint64 `csv:"rerouted"`
 	Degraded    uint64
 	// Retransmits counts ARQ retransmissions across all hosts; Recovered
 	// counts packets that delivered only through a retransmitted frame.
-	Retransmits uint64
-	Recovered   int
+	Retransmits uint64 `csv:"retransmits"`
+	Recovered   int    `csv:"recovered"`
 	// TimeToReroute is the delay from outage start to the first failover
 	// routing decision, or -1 when no frame was rerouted (the baseline).
-	TimeToReroute sim.Time
+	TimeToReroute time.Duration `csv:"reroute_ns"`
 	// MeanRecovery is the mean end-to-end latency of Recovered packets —
 	// the mean time-to-recover a lost frame, dominated by the retransmit
 	// timer.
-	MeanRecovery sim.Time
+	MeanRecovery time.Duration `csv:"mean_recovery_ns"`
+	// DuringOffered / DuringDelivered count packets born inside the
+	// outage window and how many of them still delivered — the
+	// delivered-during-outage fraction.
+	DuringOffered   int `csv:"during_offered"`
+	DuringDelivered int `csv:"during_delivered"`
 	// Percentiles of end-to-end latency by delivery instant relative to
 	// the outage window: Before is the clean pre-outage steady state,
 	// During covers completions while the spine is down (failover detours
 	// and in-window recoveries), After everything past the window —
 	// including recoveries of frames the outage ate near its end. Each is
 	// zero when its window saw no deliveries.
-	P99Before  sim.Time
-	P999Before sim.Time
-	P99During  sim.Time
-	P999During sim.Time
-	P99After   sim.Time
-	P999After  sim.Time
-	// TailInflation is P99After / P99Before — the post-recovery tail
-	// relative to the same cell's pre-outage tail (compare against the
-	// baseline cell's value to cancel warm-up drift).
-	TailInflation float64
-	// Hist holds the cell's full latency sample set.
-	Hist *stats.Histogram
+	P99Before  time.Duration `csv:"p99_before_ns"`
+	P999Before time.Duration
+	P99During  time.Duration `csv:"p99_during_ns"`
+	P999During time.Duration
+	P99After   time.Duration `csv:"p99_after_ns"`
+	P999After  time.Duration `csv:"p999_after_ns"`
+	// TailInflation is P99After / P99Before, from the picosecond
+	// percentiles — the post-recovery tail relative to the same cell's
+	// pre-outage tail (compare against the baseline cell's value to cancel
+	// warm-up drift).
+	TailInflation float64 `csv:"tail_inflation" fmt:"%.3f"`
 }
 
 // FailSweepObserved runs the failure sweep: for every (architecture, outage
@@ -319,7 +319,7 @@ func failCell(sp spec.Spec, arch string, dur sim.Time, shape loadShape, cfg Fail
 	seen := make([]bool, cfg.Packets)
 
 	// Receiver-side tallies, all written on the fabric engine.
-	var histAll, histBefore, histDuring, histAfter stats.Histogram
+	var histBefore, histDuring, histAfter stats.Histogram
 	delivered, duringDelivered, recovered := 0, 0, 0
 	var recoverySum sim.Time
 	// Sender-side tallies, per host so sharded cells never share a write.
@@ -381,7 +381,6 @@ func failCell(sp spec.Spec, arch string, dur sim.Time, shape loadShape, cfg Fail
 							recvs[dst].Submit(rxs[dst].RX(p).Total(), func() {
 								now := rig.fabEng.Now()
 								lat := now - born
-								histAll.Observe(lat)
 								// Bucket the tails by delivery instant so a
 								// recovered frame's timer-dominated latency
 								// lands in the window it completed in, not
@@ -446,10 +445,10 @@ func failCell(sp spec.Spec, arch string, dur sim.Time, shape loadShape, cfg Fail
 	for _, c := range hostCtrs {
 		ctrs.Merge(c)
 	}
-	timeToReroute := sim.Time(-1)
+	timeToReroute := time.Duration(-1)
 	if hv := topo.Health(); hv != nil {
 		if first := hv.Stats().FirstReroute; first >= 0 {
-			timeToReroute = first - winStart
+			timeToReroute = (first - winStart).Duration()
 		}
 	}
 	var meanRecovery sim.Time
@@ -473,11 +472,9 @@ func failCell(sp spec.Spec, arch string, dur sim.Time, shape loadShape, cfg Fail
 
 	return FailRow{
 		Arch:            arch,
-		Outage:          dur,
+		Outage:          dur.Duration(),
 		Delivered:       delivered,
 		Failed:          failedTotal,
-		DuringOffered:   duringOffered,
-		DuringDelivered: duringDelivered,
 		Dropped:         dropped,
 		OutageDrops:     fstats.OutageDrops,
 		BurstDrops:      fstats.BurstDrops,
@@ -486,14 +483,15 @@ func failCell(sp spec.Spec, arch string, dur sim.Time, shape loadShape, cfg Fail
 		Retransmits:     ctrs.Retransmits,
 		Recovered:       recovered,
 		TimeToReroute:   timeToReroute,
-		MeanRecovery:    meanRecovery,
-		P99Before:       p99Before,
-		P999Before:      histBefore.Percentile(99.9),
-		P99During:       histDuring.Percentile(99),
-		P999During:      histDuring.Percentile(99.9),
-		P99After:        p99After,
-		P999After:       histAfter.Percentile(99.9),
+		MeanRecovery:    meanRecovery.Duration(),
+		DuringOffered:   duringOffered,
+		DuringDelivered: duringDelivered,
+		P99Before:       p99Before.Duration(),
+		P999Before:      histBefore.Percentile(99.9).Duration(),
+		P99During:       histDuring.Percentile(99).Duration(),
+		P999During:      histDuring.Percentile(99.9).Duration(),
+		P99After:        p99After.Duration(),
+		P999After:       histAfter.Percentile(99.9).Duration(),
 		TailInflation:   inflation,
-		Hist:            &histAll,
 	}, nil
 }

@@ -78,7 +78,7 @@ func TestFailSweepBaselineAndFailover(t *testing.T) {
 			if r.Recovered == 0 {
 				t.Errorf("%s outage=%v: %d outage drops but nothing recovered", r.Arch, r.Outage, r.OutageDrops)
 			}
-			if r.MeanRecovery < defaultFailRetryBase {
+			if r.MeanRecovery < defaultFailRetryBase.Duration() {
 				t.Errorf("%s outage=%v: mean recovery %v below the %v retransmit timer",
 					r.Arch, r.Outage, r.MeanRecovery, defaultFailRetryBase)
 			}

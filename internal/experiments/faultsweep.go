@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"time"
 
 	"netdimm/internal/core"
 	"netdimm/internal/driver"
@@ -57,20 +58,20 @@ func (c FaultSweepConfig) withDefaults() FaultSweepConfig {
 // one-way latency statistics over the delivered packets, plus the fault and
 // recovery tallies of the cell's injector.
 type FaultRow struct {
-	Arch     string
-	LossRate float64
-	Mean     sim.Time
-	P50      sim.Time
-	P99      sim.Time
+	Arch     string        `csv:"arch"`
+	LossRate float64       `csv:"loss_rate"`
+	Mean     time.Duration `csv:"mean_ns"`
+	P50      time.Duration `csv:"p50_ns"`
+	P99      time.Duration `csv:"p99_ns"`
 	// Delivered counts packets that completed end to end (including any
 	// NVDIMM-P recovery on the NetDIMM receive path); Failed counts packets
 	// abandoned after the retry cap.
-	Delivered int
-	Failed    int
+	Delivered int `csv:"delivered"`
+	Failed    int `csv:"failed"`
 	Counters  stats.FaultCounters
-	// Hist holds the cell's full latency sample set, so callers can merge
-	// cells (see FaultTails) or compute percentiles beyond P50/P99.
-	Hist *stats.Histogram
+	// hist holds the cell's full latency sample set, so FaultTails can
+	// merge cells.
+	hist *stats.Histogram
 }
 
 // FaultTails merges every rate's sample set per architecture (via
@@ -80,21 +81,21 @@ type FaultRow struct {
 type FaultTail struct {
 	Arch     string
 	Count    int
-	Mean     sim.Time
-	P50, P99 sim.Time
+	Mean     time.Duration
+	P50, P99 time.Duration
 }
 
 // FaultTails aggregates sweep rows into per-architecture tails.
 func FaultTails(rows []FaultRow) []FaultTail {
 	merged := make(map[string]*stats.Histogram)
 	for _, r := range rows {
-		if r.Hist == nil {
+		if r.hist == nil {
 			continue
 		}
 		if merged[r.Arch] == nil {
 			merged[r.Arch] = &stats.Histogram{}
 		}
-		merged[r.Arch].Merge(r.Hist)
+		merged[r.Arch].Merge(r.hist)
 	}
 	var tails []FaultTail
 	for _, arch := range FaultSweepArchs {
@@ -105,9 +106,9 @@ func FaultTails(rows []FaultRow) []FaultTail {
 		tails = append(tails, FaultTail{
 			Arch:  arch,
 			Count: h.Count(),
-			Mean:  h.Mean(),
-			P50:   h.Percentile(50),
-			P99:   h.Percentile(99),
+			Mean:  h.Mean().Duration(),
+			P50:   h.Percentile(50).Duration(),
+			P99:   h.Percentile(99).Duration(),
 		})
 	}
 	return tails
@@ -232,13 +233,13 @@ func faultCell(sp spec.Spec, arch string, rate float64, cfg FaultSweepConfig, ce
 	return FaultRow{
 		Arch:      arch,
 		LossRate:  rate,
-		Mean:      hist.Mean(),
-		P50:       hist.Percentile(50),
-		P99:       hist.Percentile(99),
+		Mean:      hist.Mean().Duration(),
+		P50:       hist.Percentile(50).Duration(),
+		P99:       hist.Percentile(99).Duration(),
 		Delivered: delivered,
 		Failed:    failed,
 		Counters:  inj.Counters,
-		Hist:      &hist,
+		hist:      &hist,
 	}, nil
 }
 

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"time"
+
 	"netdimm/internal/sim"
 	"netdimm/internal/spec"
 	"netdimm/internal/stats"
@@ -11,28 +13,24 @@ import (
 // per-packet one-way latency per architecture and NetDIMM's normalised
 // latency against both baselines.
 type Fig12aRow struct {
-	Cluster       workload.Cluster
-	SwitchLatency sim.Time
-	DNICMean      sim.Time
-	INICMean      sim.Time
-	NetDIMMMean   sim.Time
+	Cluster       workload.Cluster `csv:"cluster"`
+	SwitchLatency time.Duration    `csv:"switch_ns"`
+	DNICMean      time.Duration    `csv:"dnic_mean_ns"`
+	INICMean      time.Duration    `csv:"inic_mean_ns"`
+	NetDIMMMean   time.Duration    `csv:"netdimm_mean_ns"`
+	// NormVsDNIC is NetDIMM latency normalised to the dNIC configuration
+	// (the Fig. 12a Y axis; lower is better); NormVsINIC the same against
+	// iNIC. Both are ratios of the picosecond means.
+	NormVsDNIC float64 `csv:"norm_dnic" fmt:"%.4f"`
+	NormVsINIC float64 `csv:"norm_inic" fmt:"%.4f"`
 }
 
-// NormVsDNIC returns NetDIMM latency normalised to the dNIC configuration
-// (the Fig. 12a Y axis; lower is better).
-func (r Fig12aRow) NormVsDNIC() float64 {
-	if r.DNICMean == 0 {
+// norm returns nd/base, or 0 when base is 0.
+func norm(nd, base sim.Time) float64 {
+	if base == 0 {
 		return 0
 	}
-	return float64(r.NetDIMMMean) / float64(r.DNICMean)
-}
-
-// NormVsINIC returns NetDIMM latency normalised to the iNIC configuration.
-func (r Fig12aRow) NormVsINIC() float64 {
-	if r.INICMean == 0 {
-		return 0
-	}
-	return float64(r.NetDIMMMean) / float64(r.INICMean)
+	return float64(nd) / float64(base)
 }
 
 // PaperSwitchLatencies are the values swept in Fig. 12(a).
@@ -88,12 +86,15 @@ func fig12aCell(d *spec.Derived, cl workload.Cluster, sl sim.Time, n int, seed u
 		ndSum += ndB.Plus(ndRX.RX(p)).Total()
 	}
 	cnt := sim.Time(len(events))
+	dnMean, inMean, ndMean := dnSum/cnt, inSum/cnt, ndSum/cnt
 	return Fig12aRow{
 		Cluster:       cl,
-		SwitchLatency: sl,
-		DNICMean:      dnSum / cnt,
-		INICMean:      inSum / cnt,
-		NetDIMMMean:   ndSum / cnt,
+		SwitchLatency: sl.Duration(),
+		DNICMean:      dnMean.Duration(),
+		INICMean:      inMean.Duration(),
+		NetDIMMMean:   ndMean.Duration(),
+		NormVsDNIC:    norm(ndMean, dnMean),
+		NormVsINIC:    norm(ndMean, inMean),
 	}, nil
 }
 
@@ -101,14 +102,14 @@ func fig12aCell(d *spec.Derived, cl workload.Cluster, sl sim.Time, n int, seed u
 // NetDIMM latency reduction vs dNIC per switch latency, across clusters
 // ("40.6%, 36.0%, 33.1%, and 25.3% when switch latency is 25, 50, 100, and
 // 200ns").
-func Fig12aAverages(rows []Fig12aRow) map[sim.Time]float64 {
-	sums := map[sim.Time]float64{}
-	counts := map[sim.Time]int{}
+func Fig12aAverages(rows []Fig12aRow) map[time.Duration]float64 {
+	sums := map[time.Duration]float64{}
+	counts := map[time.Duration]int{}
 	for _, r := range rows {
-		sums[r.SwitchLatency] += 1 - r.NormVsDNIC()
+		sums[r.SwitchLatency] += 1 - r.NormVsDNIC
 		counts[r.SwitchLatency]++
 	}
-	out := make(map[sim.Time]float64, len(sums))
+	out := make(map[time.Duration]float64, len(sums))
 	for k, v := range sums {
 		out[k] = v / float64(counts[k])
 	}

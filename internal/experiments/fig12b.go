@@ -15,19 +15,13 @@ import (
 // memory access latency a co-running application observes on a server
 // running the function over the cluster's traffic, for iNIC and NetDIMM.
 type Fig12bRow struct {
-	Cluster   workload.Cluster
-	Kind      netfunc.Kind
-	INICAppNs float64
-	NetDIMMNs float64
-}
-
-// Norm returns NetDIMM's app latency normalised to iNIC (Fig. 12b Y axis;
-// below 1.0 means NetDIMM interferes less).
-func (r Fig12bRow) Norm() float64 {
-	if r.INICAppNs == 0 {
-		return 0
-	}
-	return r.NetDIMMNs / r.INICAppNs
+	Cluster   workload.Cluster `csv:"cluster"`
+	Function  netfunc.Kind     `csv:"nf"`
+	INICNs    float64          `csv:"inic_ns" fmt:"%.2f"`
+	NetDIMMNs float64          `csv:"netdimm_ns" fmt:"%.2f"`
+	// Norm is NetDIMM's app latency normalised to iNIC (Fig. 12b Y axis;
+	// below 1.0 means NetDIMM interferes less).
+	Norm float64 `csv:"norm" fmt:"%.4f"`
 }
 
 // Fig12bConfig parameterises the interference rig.
@@ -83,11 +77,15 @@ func Fig12b(sp spec.Spec, clusters []workload.Cluster, kinds []netfunc.Kind, cfg
 	})
 	rows := make([]Fig12bRow, nRows)
 	for row := range rows {
+		inic, nd := vals[2*row], vals[2*row+1]
 		rows[row] = Fig12bRow{
 			Cluster:   clusters[row/len(kinds)],
-			Kind:      kinds[row%len(kinds)],
-			INICAppNs: vals[2*row],
-			NetDIMMNs: vals[2*row+1],
+			Function:  kinds[row%len(kinds)],
+			INICNs:    inic,
+			NetDIMMNs: nd,
+		}
+		if inic != 0 {
+			rows[row].Norm = nd / inic
 		}
 	}
 	return rows

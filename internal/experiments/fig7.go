@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"time"
+
 	"netdimm/internal/nic"
 	"netdimm/internal/sim"
 	"netdimm/internal/spec"
@@ -10,9 +12,11 @@ import (
 // relative cacheline address vs relative arrival time at the memory
 // controller.
 type Fig7Point struct {
-	RelLine int // cacheline offset from the first request
-	RelTime sim.Time
-	Burst   int // which packet's burst this request belongs to
+	// RelCacheline is the cacheline offset from the first request.
+	RelCacheline int           `csv:"rel_cacheline"`
+	RelTime      time.Duration `csv:"rel_time_ns"`
+	// Burst is the packet whose burst this request belongs to.
+	Burst int `csv:"burst"`
 }
 
 // Fig7 reproduces the NIC DMA access-pattern study: the memory requests
@@ -40,9 +44,9 @@ func Fig7(sp spec.Spec) []Fig7Point {
 				base = e.Addr
 			}
 			out = append(out, Fig7Point{
-				RelLine: int((e.Addr - base) / 64),
-				RelTime: e.At - t0,
-				Burst:   pktIdx,
+				RelCacheline: int((e.Addr - base) / 64),
+				RelTime:      (e.At - t0).Duration(),
+				Burst:        pktIdx,
 			})
 		}
 	}
@@ -51,8 +55,8 @@ func Fig7(sp spec.Spec) []Fig7Point {
 
 // Fig7BurstSpan returns the duration of one packet's DMA burst — the
 // paper highlights a 24-cacheline burst spanning ~143ns.
-func Fig7BurstSpan(points []Fig7Point, burst int) sim.Time {
-	var first, last sim.Time
+func Fig7BurstSpan(points []Fig7Point, burst int) time.Duration {
+	var first, last time.Duration
 	seen := false
 	for _, p := range points {
 		if p.Burst != burst {

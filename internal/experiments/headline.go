@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"time"
+
 	"netdimm/internal/netfunc"
 	"netdimm/internal/obs"
 	"netdimm/internal/sim"
@@ -20,7 +22,7 @@ type Headline struct {
 	// TraceReductionBySwitch is the per-switch-latency average per-packet
 	// reduction on the cluster replays (paper: 40.6/36.0/33.1/25.3% at
 	// 25/50/100/200ns).
-	TraceReductionBySwitch map[sim.Time]float64
+	TraceReductionBySwitch map[time.Duration]float64
 	// DPIWorst / L3FBest bound the Fig. 12b interference deltas (paper:
 	// DPI up to +15.4%, L3F up to -30.9% vs iNIC).
 	DPIWorst float64 // max Norm-1 over DPI cells
@@ -50,13 +52,13 @@ func RunHeadline(sp spec.Spec, n int, parallelism int) (Headline, error) {
 	cfg := DefaultFig12bConfig()
 	cells := Fig12b(sp, workload.Clusters, []netfunc.Kind{netfunc.DPI, netfunc.L3F}, cfg, parallelism)
 	for _, c := range cells {
-		switch c.Kind {
+		switch c.Function {
 		case netfunc.DPI:
-			if d := c.Norm() - 1; d > h.DPIWorst {
+			if d := c.Norm - 1; d > h.DPIWorst {
 				h.DPIWorst = d
 			}
 		case netfunc.L3F:
-			if d := 1 - c.Norm(); d > h.L3FBest {
+			if d := 1 - c.Norm; d > h.L3FBest {
 				h.L3FBest = d
 			}
 		}

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"math"
+	"time"
 
 	"netdimm/internal/driver"
 	"netdimm/internal/ethernet"
@@ -103,30 +104,30 @@ func resolveLoad(l workload.LoadSpec) (loadShape, error) {
 // end-to-end latency statistics over delivered packets plus the cell's
 // congestion tallies.
 type LoadRow struct {
-	Arch string
-	// Load is the offered fraction of the receiver's line rate.
-	Load float64
-	Mean sim.Time
-	P50  sim.Time
-	P99  sim.Time
-	P999 sim.Time
+	Arch string `csv:"arch"`
+	// OfferedLoad is the injected fraction of the receiver's line rate,
+	// aggregated over every sender host.
+	OfferedLoad float64       `csv:"offered_load"`
+	Mean        time.Duration `csv:"mean_ns"`
+	P50         time.Duration `csv:"p50_ns"`
+	P99         time.Duration `csv:"p99_ns"`
+	P999        time.Duration `csv:"p999_ns"`
 	// Delivered counts packets that completed end to end; Dropped counts
 	// frames tail-dropped by a full uplink or egress buffer.
-	Delivered int
-	Dropped   int
+	Delivered int `csv:"delivered"`
+	Dropped   int `csv:"dropped"`
 	// EgressMaxDepth and EgressQueueDelay describe the shared egress port
 	// (the incast bottleneck on the wire side).
-	EgressMaxDepth   int
-	EgressQueueDelay sim.Time
+	EgressMaxDepth   int           `csv:"egress_max_depth"`
+	EgressQueueDelay time.Duration `csv:"egress_queue_delay_ns"`
 	// RxMaxDepth is the receiver driver queue's high-water mark (the
 	// architecture-dependent bottleneck).
-	RxMaxDepth int
+	RxMaxDepth int `csv:"rx_max_depth"`
 	// LinkUtilization is delivered wire occupancy over the cell's
 	// makespan, in [0,1].
-	LinkUtilization float64
-	// Hist holds the cell's full latency sample set for cross-cell
-	// aggregation.
-	Hist *stats.Histogram
+	LinkUtilization float64 `csv:"link_util" fmt:"%.4f"`
+	// p99ps is P99 in picoseconds, for the knee test.
+	p99ps sim.Time
 }
 
 // LoadKnee is one architecture's detected saturation point.
@@ -163,18 +164,18 @@ func DetectKnees(rows []LoadRow, kneeFactor float64) []LoadKnee {
 		// Rows arrive in sweep order (ascending load per architecture);
 		// keep order-insensitivity for callers that re-sorted.
 		for i := 1; i < len(rs); i++ {
-			for j := i; j > 0 && rs[j-1].Load > rs[j].Load; j-- {
+			for j := i; j > 0 && rs[j-1].OfferedLoad > rs[j].OfferedLoad; j-- {
 				rs[j-1], rs[j] = rs[j], rs[j-1]
 			}
 		}
-		base := rs[0].P99
+		base := rs[0].p99ps
 		knee := LoadKnee{Arch: arch}
 		for _, r := range rs {
-			if base > 0 && float64(r.P99) > kneeFactor*float64(base) {
+			if base > 0 && float64(r.p99ps) > kneeFactor*float64(base) {
 				knee.Saturated = true
 				break
 			}
-			knee.Knee = r.Load
+			knee.Knee = r.OfferedLoad
 		}
 		if !knee.Saturated {
 			// The grid never crossed the bound (or had a single row, which
@@ -454,20 +455,21 @@ func loadCell(sp spec.Spec, arch string, load float64, shape loadShape, cfg Load
 		reg.Gauge(arch + ".ecn_marked").Set(int64(fstats.Marked))
 	}
 
+	p99 := hist.Percentile(99)
 	return LoadRow{
 		Arch:             arch,
-		Load:             load,
-		Mean:             hist.Mean(),
-		P50:              hist.Percentile(50),
-		P99:              hist.Percentile(99),
-		P999:             hist.Percentile(99.9),
+		OfferedLoad:      load,
+		Mean:             hist.Mean().Duration(),
+		P50:              hist.Percentile(50).Duration(),
+		P99:              p99.Duration(),
+		P999:             hist.Percentile(99.9).Duration(),
 		Delivered:        delivered,
 		Dropped:          dropped,
 		EgressMaxDepth:   egStats.MaxDepth,
-		EgressQueueDelay: egStats.AvgQueueDelay(),
+		EgressQueueDelay: egStats.AvgQueueDelay().Duration(),
 		RxMaxDepth:       recv.maxDepth,
 		LinkUtilization:  util,
-		Hist:             &hist,
+		p99ps:            p99,
 	}, nil
 }
 

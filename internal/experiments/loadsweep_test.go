@@ -36,32 +36,32 @@ func TestLoadSweepP99MonotoneInLoad(t *testing.T) {
 			t.Fatalf("%s: got %d rows, want %d", arch, len(rs), len(DefaultLoadGrid))
 		}
 		for i := 1; i < len(rs); i++ {
-			if rs[i].Load <= rs[i-1].Load {
-				t.Fatalf("%s: rows out of load order: %g after %g", arch, rs[i].Load, rs[i-1].Load)
+			if rs[i].OfferedLoad <= rs[i-1].OfferedLoad {
+				t.Fatalf("%s: rows out of load order: %g after %g", arch, rs[i].OfferedLoad, rs[i-1].OfferedLoad)
 			}
 			if rs[i].P99 < rs[i-1].P99 {
 				t.Errorf("%s: p99 not monotone in load: p99(%g)=%v < p99(%g)=%v",
-					arch, rs[i].Load, rs[i].P99, rs[i-1].Load, rs[i-1].P99)
+					arch, rs[i].OfferedLoad, rs[i].P99, rs[i-1].OfferedLoad, rs[i-1].P99)
 			}
 			if rs[i].Mean < rs[i-1].Mean {
 				t.Errorf("%s: mean not monotone in load: mean(%g)=%v < mean(%g)=%v",
-					arch, rs[i].Load, rs[i].Mean, rs[i-1].Load, rs[i-1].Mean)
+					arch, rs[i].OfferedLoad, rs[i].Mean, rs[i-1].OfferedLoad, rs[i-1].Mean)
 			}
 		}
 		for _, r := range rs {
 			if r.Delivered == 0 {
-				t.Errorf("%s at load %g: nothing delivered", arch, r.Load)
+				t.Errorf("%s at load %g: nothing delivered", arch, r.OfferedLoad)
 			}
 			if r.Delivered+r.Dropped != 600 {
 				t.Errorf("%s at load %g: delivered %d + dropped %d != 600 offered",
-					arch, r.Load, r.Delivered, r.Dropped)
+					arch, r.OfferedLoad, r.Delivered, r.Dropped)
 			}
 			if r.P50 > r.P99 || r.P99 > r.P999 {
 				t.Errorf("%s at load %g: percentiles out of order: p50=%v p99=%v p999=%v",
-					arch, r.Load, r.P50, r.P99, r.P999)
+					arch, r.OfferedLoad, r.P50, r.P99, r.P999)
 			}
 			if r.LinkUtilization < 0 || r.LinkUtilization > 1 {
-				t.Errorf("%s at load %g: link utilisation %g outside [0,1]", arch, r.Load, r.LinkUtilization)
+				t.Errorf("%s at load %g: link utilisation %g outside [0,1]", arch, r.OfferedLoad, r.LinkUtilization)
 			}
 		}
 	}
@@ -131,12 +131,12 @@ func TestDetectKnees(t *testing.T) {
 	us := sim.Microsecond
 	rows := []LoadRow{
 		// Deliberately out of load order: DetectKnees must sort per arch.
-		{Arch: "dNIC", Load: 0.2, P99: 9 * us},
-		{Arch: "dNIC", Load: 0.05, P99: 2 * us},
-		{Arch: "dNIC", Load: 0.1, P99: 3 * us},
-		{Arch: "NetDIMM", Load: 0.05, P99: 1 * us},
-		{Arch: "NetDIMM", Load: 0.1, P99: 1 * us},
-		{Arch: "NetDIMM", Load: 0.2, P99: 2 * us},
+		{Arch: "dNIC", OfferedLoad: 0.2, p99ps: 9 * us},
+		{Arch: "dNIC", OfferedLoad: 0.05, p99ps: 2 * us},
+		{Arch: "dNIC", OfferedLoad: 0.1, p99ps: 3 * us},
+		{Arch: "NetDIMM", OfferedLoad: 0.05, p99ps: 1 * us},
+		{Arch: "NetDIMM", OfferedLoad: 0.1, p99ps: 1 * us},
+		{Arch: "NetDIMM", OfferedLoad: 0.2, p99ps: 2 * us},
 	}
 	knees := DetectKnees(rows, 3)
 	if len(knees) != 2 {
@@ -166,24 +166,24 @@ func TestDetectKneesDegenerate(t *testing.T) {
 		{name: "empty", rows: nil, want: nil},
 		{
 			name: "single row",
-			rows: []LoadRow{{Arch: "dNIC", Load: 0.4, P99: 5 * us}},
+			rows: []LoadRow{{Arch: "dNIC", OfferedLoad: 0.4, p99ps: 5 * us}},
 			want: []LoadKnee{{Arch: "dNIC"}},
 		},
 		{
 			name: "monotone but never saturating",
 			rows: []LoadRow{
-				{Arch: "iNIC", Load: 0.05, P99: 2 * us},
-				{Arch: "iNIC", Load: 0.1, P99: 3 * us},
-				{Arch: "iNIC", Load: 0.2, P99: 5 * us},
+				{Arch: "iNIC", OfferedLoad: 0.05, p99ps: 2 * us},
+				{Arch: "iNIC", OfferedLoad: 0.1, p99ps: 3 * us},
+				{Arch: "iNIC", OfferedLoad: 0.2, p99ps: 5 * us},
 			},
 			want: []LoadKnee{{Arch: "iNIC"}},
 		},
 		{
 			name: "saturating curve keeps its knee",
 			rows: []LoadRow{
-				{Arch: "NetDIMM", Load: 0.05, P99: 1 * us},
-				{Arch: "NetDIMM", Load: 0.1, P99: 2 * us},
-				{Arch: "NetDIMM", Load: 0.2, P99: 9 * us},
+				{Arch: "NetDIMM", OfferedLoad: 0.05, p99ps: 1 * us},
+				{Arch: "NetDIMM", OfferedLoad: 0.1, p99ps: 2 * us},
+				{Arch: "NetDIMM", OfferedLoad: 0.2, p99ps: 9 * us},
 			},
 			want: []LoadKnee{{Arch: "NetDIMM", Knee: 0.1, Saturated: true}},
 		},

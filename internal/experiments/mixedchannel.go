@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"time"
+
 	"netdimm/internal/core"
 	"netdimm/internal/memctrl"
 	"netdimm/internal/nvdimmp"
@@ -19,8 +21,8 @@ import (
 type MixedChannelResult struct {
 	DDRReads          int
 	NetDIMMReads      int
-	DDRMeanLatency    sim.Time
-	NetDIMMMean       sim.Time
+	DDRMean           time.Duration
+	NetDIMMMean       time.Duration
 	OutOfOrder        uint64 // completions that overtook an older transaction
 	MaxOutstandingIDs int
 }
@@ -118,8 +120,8 @@ func MixedChannelObserved(sp spec.Spec, n int, seed uint64, ospec obs.Spec) (Mix
 	eng.Run()
 
 	_, _, ooo := tracker.Stats()
-	res.DDRMeanLatency = ddrHist.Mean()
-	res.NetDIMMMean = ndHist.Mean()
+	res.DDRMean = ddrHist.Mean().Duration()
+	res.NetDIMMMean = ndHist.Mean().Duration()
 	res.OutOfOrder = ooo
 	res.MaxOutstandingIDs = maxOut
 	return res, o, nil

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"math"
+	"time"
 
 	"netdimm/internal/driver"
 	"netdimm/internal/ethernet"
@@ -77,37 +78,37 @@ func (c RackSweepConfig) withDefaults() RackSweepConfig {
 // sweep: end-to-end latency statistics over delivered packets plus the
 // cell's fabric tallies.
 type RackRow struct {
-	Arch string
+	Arch string `csv:"arch"`
 	// Racks is the leaf count of the cell's clos.
-	Racks int
+	Racks int `csv:"racks"`
 	// ECN reports whether the cell ran with marking and sender backoff.
-	ECN bool
-	// Load is each host's offered fraction of its own line rate.
-	Load float64
-	Mean sim.Time
-	P50  sim.Time
-	P99  sim.Time
-	P999 sim.Time
+	ECN bool `csv:"ecn"`
+	// OfferedLoad is each host's injected fraction of its own line rate.
+	OfferedLoad float64       `csv:"offered_load"`
+	Mean        time.Duration `csv:"mean_ns"`
+	P50         time.Duration `csv:"p50_ns"`
+	P99         time.Duration `csv:"p99_ns"`
+	P999        time.Duration `csv:"p999_ns"`
 	// Delivered counts packets that completed end to end; Dropped counts
 	// frames tail-dropped at any hop (uplink, leaf or spine queue).
-	Delivered int
-	Dropped   int
+	Delivered int `csv:"delivered"`
+	Dropped   int `csv:"dropped"`
 	// Marked counts frames freshly ECN-marked at any fabric queue.
-	Marked int
-	// CrossRack counts packets whose destination lay in another rack.
-	CrossRack int
+	Marked int `csv:"marked"`
+	// CrossRack counts packets whose destination lay in another rack (and
+	// therefore crossed the spine layer).
+	CrossRack int `csv:"cross_rack"`
 	// LeafMaxDepth and SpineMaxDepth are the deepest output queues seen at
 	// each fabric layer.
-	LeafMaxDepth  int
-	SpineMaxDepth int
+	LeafMaxDepth  int `csv:"leaf_max_depth"`
+	SpineMaxDepth int `csv:"spine_max_depth"`
 	// RxMaxDepth is the deepest receiver driver queue across all hosts.
-	RxMaxDepth int
+	RxMaxDepth int `csv:"rx_max_depth"`
 	// LinkUtilization is the delivered wire occupancy averaged over all
 	// host links and the cell's makespan, in [0,1].
-	LinkUtilization float64
-	// Hist holds the cell's full latency sample set for cross-cell
-	// aggregation.
-	Hist *stats.Histogram
+	LinkUtilization float64 `csv:"link_util" fmt:"%.4f"`
+	// p99ps is P99 in picoseconds, for the knee test.
+	p99ps sim.Time
 }
 
 // RackKnee is one (arch, racks, ECN) curve's detected saturation point.
@@ -151,18 +152,18 @@ func DetectRackKnees(rows []RackRow, kneeFactor float64) []RackKnee {
 	for _, k := range order {
 		rs := groups[k]
 		for i := 1; i < len(rs); i++ {
-			for j := i; j > 0 && rs[j-1].Load > rs[j].Load; j-- {
+			for j := i; j > 0 && rs[j-1].OfferedLoad > rs[j].OfferedLoad; j-- {
 				rs[j-1], rs[j] = rs[j], rs[j-1]
 			}
 		}
-		base := rs[0].P99
+		base := rs[0].p99ps
 		knee := RackKnee{Arch: k.arch, Racks: k.racks, ECN: k.ecn}
 		for _, r := range rs {
-			if base > 0 && float64(r.P99) > kneeFactor*float64(base) {
+			if base > 0 && float64(r.p99ps) > kneeFactor*float64(base) {
 				knee.Saturated = true
 				break
 			}
-			knee.Knee = r.Load
+			knee.Knee = r.OfferedLoad
 		}
 		if !knee.Saturated {
 			// Same no-knee contract as DetectKnees: an unsaturated curve
@@ -434,15 +435,16 @@ func rackCell(sp spec.Spec, arch string, load float64, shape loadShape, cfg Rack
 	reg.Gauge(arch + ".rx_max_depth").Set(int64(rxMax))
 	reg.Gauge(arch + ".link_util_pct").Set(int64(math.Round(util * 100)))
 
+	p99 := hist.Percentile(99)
 	return RackRow{
 		Arch:            arch,
 		Racks:           topo.Leaves(),
 		ECN:             ecn,
-		Load:            load,
-		Mean:            hist.Mean(),
-		P50:             hist.Percentile(50),
-		P99:             hist.Percentile(99),
-		P999:            hist.Percentile(99.9),
+		OfferedLoad:     load,
+		Mean:            hist.Mean().Duration(),
+		P50:             hist.Percentile(50).Duration(),
+		P99:             p99.Duration(),
+		P999:            hist.Percentile(99.9).Duration(),
 		Delivered:       delivered,
 		Dropped:         dropped,
 		Marked:          int(fstats.Marked),
@@ -451,7 +453,7 @@ func rackCell(sp spec.Spec, arch string, load float64, shape loadShape, cfg Rack
 		SpineMaxDepth:   fstats.SpineMaxDepth,
 		RxMaxDepth:      rxMax,
 		LinkUtilization: util,
-		Hist:            &hist,
+		p99ps:           p99,
 	}, nil
 }
 

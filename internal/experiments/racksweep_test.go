@@ -42,25 +42,25 @@ func TestRackSweepShapes(t *testing.T) {
 		}
 		if r.Delivered+r.Dropped != 320 {
 			t.Errorf("%s ecn=%v load=%g: delivered %d + dropped %d != 320 offered",
-				r.Arch, r.ECN, r.Load, r.Delivered, r.Dropped)
+				r.Arch, r.ECN, r.OfferedLoad, r.Delivered, r.Dropped)
 		}
 		if r.Delivered == 0 {
-			t.Errorf("%s ecn=%v load=%g: nothing delivered", r.Arch, r.ECN, r.Load)
+			t.Errorf("%s ecn=%v load=%g: nothing delivered", r.Arch, r.ECN, r.OfferedLoad)
 		}
 		if r.P50 > r.P99 || r.P99 > r.P999 {
 			t.Errorf("%s ecn=%v load=%g: percentiles out of order: p50=%v p99=%v p999=%v",
-				r.Arch, r.ECN, r.Load, r.P50, r.P99, r.P999)
+				r.Arch, r.ECN, r.OfferedLoad, r.P50, r.P99, r.P999)
 		}
 		if !r.ECN && r.Marked != 0 {
-			t.Errorf("%s load=%g: %d frames marked with ECN off", r.Arch, r.Load, r.Marked)
+			t.Errorf("%s load=%g: %d frames marked with ECN off", r.Arch, r.OfferedLoad, r.Marked)
 		}
 		if r.LinkUtilization < 0 || r.LinkUtilization > 1 {
 			t.Errorf("%s ecn=%v load=%g: link utilisation %g outside [0,1]",
-				r.Arch, r.ECN, r.Load, r.LinkUtilization)
+				r.Arch, r.ECN, r.OfferedLoad, r.LinkUtilization)
 		}
 		if r.CrossRack <= 0 || r.CrossRack > 320 {
 			t.Errorf("%s ecn=%v load=%g: cross-rack count %d outside (0,320]",
-				r.Arch, r.ECN, r.Load, r.CrossRack)
+				r.Arch, r.ECN, r.OfferedLoad, r.CrossRack)
 		}
 	}
 	// The destination stream is seeded per host, independent of
@@ -69,7 +69,7 @@ func TestRackSweepShapes(t *testing.T) {
 	for _, r := range rows[1:] {
 		if r.CrossRack != rows[0].CrossRack {
 			t.Errorf("%s ecn=%v load=%g: cross-rack count %d != %d — destination stream not load-invariant",
-				r.Arch, r.ECN, r.Load, r.CrossRack, rows[0].CrossRack)
+				r.Arch, r.ECN, r.OfferedLoad, r.CrossRack, rows[0].CrossRack)
 		}
 	}
 	// TableOne's database mix is ~90% inter-rack (workload.Clusters): the
@@ -97,7 +97,7 @@ func TestRackSweepECNIdleAtLowLoad(t *testing.T) {
 			// Marking did engage; pacing may legitimately shift latency.
 			continue
 		}
-		off.ECN, off.Hist, on.Hist = true, nil, nil
+		off.ECN = true
 		if off != on {
 			t.Errorf("%s: unmarked ECN-on cell diverged from ECN-off:\noff: %+v\non:  %+v", arch, off, on)
 		}
@@ -108,17 +108,17 @@ func TestDetectRackKnees(t *testing.T) {
 	us := sim.Microsecond
 	rows := []RackRow{
 		// Deliberately out of load order: the detector sorts per curve.
-		{Arch: "dNIC", Racks: 2, ECN: false, Load: 0.2, P99: 9 * us},
-		{Arch: "dNIC", Racks: 2, ECN: false, Load: 0.05, P99: 2 * us},
-		{Arch: "dNIC", Racks: 2, ECN: false, Load: 0.1, P99: 3 * us},
+		{Arch: "dNIC", Racks: 2, ECN: false, OfferedLoad: 0.2, p99ps: 9 * us},
+		{Arch: "dNIC", Racks: 2, ECN: false, OfferedLoad: 0.05, p99ps: 2 * us},
+		{Arch: "dNIC", Racks: 2, ECN: false, OfferedLoad: 0.1, p99ps: 3 * us},
 		// Same arch and racks, ECN on: a separate curve that rides out the
 		// whole grid.
-		{Arch: "dNIC", Racks: 2, ECN: true, Load: 0.05, P99: 2 * us},
-		{Arch: "dNIC", Racks: 2, ECN: true, Load: 0.1, P99: 3 * us},
-		{Arch: "dNIC", Racks: 2, ECN: true, Load: 0.2, P99: 5 * us},
+		{Arch: "dNIC", Racks: 2, ECN: true, OfferedLoad: 0.05, p99ps: 2 * us},
+		{Arch: "dNIC", Racks: 2, ECN: true, OfferedLoad: 0.1, p99ps: 3 * us},
+		{Arch: "dNIC", Racks: 2, ECN: true, OfferedLoad: 0.2, p99ps: 5 * us},
 		// Same arch, more racks: yet another curve.
-		{Arch: "dNIC", Racks: 4, ECN: false, Load: 0.05, P99: 2 * us},
-		{Arch: "dNIC", Racks: 4, ECN: false, Load: 0.2, P99: 7 * us},
+		{Arch: "dNIC", Racks: 4, ECN: false, OfferedLoad: 0.05, p99ps: 2 * us},
+		{Arch: "dNIC", Racks: 4, ECN: false, OfferedLoad: 0.2, p99ps: 7 * us},
 	}
 	knees := DetectRackKnees(rows, 3)
 	if len(knees) != 3 {
@@ -148,15 +148,15 @@ func TestDetectRackKneesDegenerate(t *testing.T) {
 		{name: "empty", rows: nil, want: nil},
 		{
 			name: "single row per curve",
-			rows: []RackRow{{Arch: "dNIC", Racks: 2, Load: 0.4, P99: 5 * us}},
+			rows: []RackRow{{Arch: "dNIC", Racks: 2, OfferedLoad: 0.4, p99ps: 5 * us}},
 			want: []RackKnee{{Arch: "dNIC", Racks: 2}},
 		},
 		{
 			name: "monotone but never saturating",
 			rows: []RackRow{
-				{Arch: "iNIC", Racks: 4, ECN: true, Load: 0.05, P99: 2 * us},
-				{Arch: "iNIC", Racks: 4, ECN: true, Load: 0.1, P99: 4 * us},
-				{Arch: "iNIC", Racks: 4, ECN: true, Load: 0.2, P99: 5 * us},
+				{Arch: "iNIC", Racks: 4, ECN: true, OfferedLoad: 0.05, p99ps: 2 * us},
+				{Arch: "iNIC", Racks: 4, ECN: true, OfferedLoad: 0.1, p99ps: 4 * us},
+				{Arch: "iNIC", Racks: 4, ECN: true, OfferedLoad: 0.2, p99ps: 5 * us},
 			},
 			want: []RackKnee{{Arch: "iNIC", Racks: 4, ECN: true}},
 		},

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"time"
 
 	"netdimm/internal/driver"
 	"netdimm/internal/sim"
@@ -16,9 +17,9 @@ import (
 type ReplayResult struct {
 	Arch    string
 	Packets int
-	Mean    sim.Time
-	P50     sim.Time
-	P99     sim.Time
+	Mean    time.Duration
+	P50     time.Duration
+	P99     time.Duration
 }
 
 // ReplayTrace runs a recorded packet trace (from cmd/netdimm-trace, or any
@@ -62,8 +63,8 @@ func ReplayTrace(sp spec.Spec, events []workload.Event, switchLatency sim.Time, 
 			wire := fabric.WireTime(e.Size, e.Locality)
 			h.Observe(tx.TX(p).Total() + wire + rx.RX(p).Total())
 		}
-		return ReplayResult{Arch: names[i], Packets: h.Count(), Mean: h.Mean(),
-			P50: h.Percentile(50), P99: h.Percentile(99)}, nil
+		return ReplayResult{Arch: names[i], Packets: h.Count(), Mean: h.Mean().Duration(),
+			P50: h.Percentile(50).Duration(), P99: h.Percentile(99).Duration()}, nil
 	})
 }
 

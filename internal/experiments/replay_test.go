@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+	"time"
 
 	"netdimm/internal/fault"
 	"netdimm/internal/obs"
@@ -88,15 +89,15 @@ func TestMixedChannel(t *testing.T) {
 	// The whole point of the asynchronous protocol: NetDIMM reads are
 	// slower and non-deterministic, yet the channel serves DDR reads at
 	// DDR latency — mixing works.
-	if res.DDRMeanLatency <= 0 || res.NetDIMMMean <= 0 {
+	if res.DDRMean <= 0 || res.NetDIMMMean <= 0 {
 		t.Fatalf("missing latencies: %+v", res)
 	}
-	if res.NetDIMMMean <= res.DDRMeanLatency {
+	if res.NetDIMMMean <= res.DDRMean {
 		t.Fatalf("NetDIMM reads %v should exceed DDR reads %v",
-			res.NetDIMMMean, res.DDRMeanLatency)
+			res.NetDIMMMean, res.DDRMean)
 	}
-	if res.DDRMeanLatency > 200*sim.Nanosecond {
-		t.Fatalf("DDR latency %v inflated by NetDIMM traffic", res.DDRMeanLatency)
+	if res.DDRMean > 200*time.Nanosecond {
+		t.Fatalf("DDR latency %v inflated by NetDIMM traffic", res.DDRMean)
 	}
 	if res.MaxOutstandingIDs < 1 {
 		t.Fatal("no concurrent asynchronous transactions")

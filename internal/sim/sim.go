@@ -90,6 +90,10 @@ func FromDuration(d time.Duration) Time {
 	return Time(ns) * Nanosecond
 }
 
+// Duration converts t to a time.Duration, truncating toward zero to whole
+// nanoseconds (the resolution of every reported result row).
+func (t Time) Duration() time.Duration { return time.Duration(t / Nanosecond) }
+
 // event is one arena slot. A slot is live while it sits in the heap with
 // dead == false; cancellation is lazy (dead is set, the heap entry stays
 // until popped). gen advances every time the slot is released, invalidating

@@ -362,3 +362,29 @@ func TestFromDurationMatchesNaive(t *testing.T) {
 		}
 	}
 }
+
+// Duration truncates toward zero to whole nanoseconds and inverts
+// FromDuration exactly.
+func TestDuration(t *testing.T) {
+	cases := []struct {
+		t    Time
+		want time.Duration
+	}{
+		{0, 0},
+		{999, 0},
+		{Nanosecond, time.Nanosecond},
+		{2546*Nanosecond + 999, 2546 * time.Nanosecond},
+		{-1, 0},
+		{-1500, -time.Nanosecond},
+	}
+	for _, c := range cases {
+		if got := c.t.Duration(); got != c.want {
+			t.Errorf("Time(%d).Duration() = %v, want %v", int64(c.t), got, c.want)
+		}
+	}
+	for _, d := range []time.Duration{0, 25 * time.Nanosecond, 3 * time.Microsecond, -time.Second} {
+		if got := FromDuration(d).Duration(); got != d {
+			t.Errorf("FromDuration(%v).Duration() = %v", d, got)
+		}
+	}
+}

@@ -1,49 +1,18 @@
 package netdimm
 
-import (
-	"time"
-
-	"netdimm/internal/experiments"
-)
+import "netdimm/internal/experiments"
 
 // LoadSweepResult is one (architecture, offered load) cell of the
 // rack-scale load sweep: end-to-end latency statistics over delivered
 // packets, plus the cell's congestion tallies.
-type LoadSweepResult struct {
-	Arch string `csv:"arch"`
-	// OfferedLoad is the injected fraction of the receiver's line rate,
-	// aggregated over every sender host.
-	OfferedLoad float64       `csv:"offered_load"`
-	Mean        time.Duration `csv:"mean_ns"`
-	P50         time.Duration `csv:"p50_ns"`
-	P99         time.Duration `csv:"p99_ns"`
-	P999        time.Duration `csv:"p999_ns"`
-	// Delivered counts packets that completed end to end; Dropped counts
-	// frames tail-dropped by a full uplink or egress buffer.
-	Delivered int `csv:"delivered"`
-	Dropped   int `csv:"dropped"`
-	// EgressMaxDepth and EgressQueueDelay describe the shared switch
-	// egress port toward the receiver (the wire-side incast bottleneck).
-	EgressMaxDepth   int           `csv:"egress_max_depth"`
-	EgressQueueDelay time.Duration `csv:"egress_queue_delay_ns"`
-	// RxMaxDepth is the high-water mark of the receiver driver's queue
-	// (the architecture-dependent bottleneck).
-	RxMaxDepth int `csv:"rx_max_depth"`
-	// LinkUtilization is delivered wire occupancy over the cell's
-	// makespan, in [0,1].
-	LinkUtilization float64 `csv:"link_util" fmt:"%.4f"`
-}
+type LoadSweepResult = experiments.LoadRow
 
 // LoadKneeResult is one architecture's detected saturation point: the
 // highest swept load whose p99 stayed within the configured knee factor of
 // the lowest swept load's p99. Saturated is false when the grid never
 // reached the knee; such a curve (including a single-load grid, which
 // cannot bracket a knee) reports the explicit no-knee result Knee 0.
-type LoadKneeResult struct {
-	Arch      string
-	Knee      float64
-	Saturated bool
-}
+type LoadKneeResult = experiments.LoadKnee
 
 // RunLoadSweepWithConfig runs the rack-scale open-loop load sweep on the
 // system described by cfg: for each architecture (dNIC, iNIC, NetDIMM)
@@ -76,30 +45,6 @@ func RunLoadSweepObserved(cfg Config, loads []float64, packets int, seed uint64,
 	lcfg := experiments.DefaultLoadSweepConfig()
 	lcfg.Packets = packets
 	lcfg.Seed = seed
-	rows, knees, o, err := experiments.LoadSweepObserved(cfg.spec(), loads, lcfg, parallelism, cfg.Obs)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	out := make([]LoadSweepResult, len(rows))
-	for i, r := range rows {
-		out[i] = LoadSweepResult{
-			Arch:             r.Arch,
-			OfferedLoad:      r.Load,
-			Mean:             toDuration(r.Mean),
-			P50:              toDuration(r.P50),
-			P99:              toDuration(r.P99),
-			P999:             toDuration(r.P999),
-			Delivered:        r.Delivered,
-			Dropped:          r.Dropped,
-			EgressMaxDepth:   r.EgressMaxDepth,
-			EgressQueueDelay: toDuration(r.EgressQueueDelay),
-			RxMaxDepth:       r.RxMaxDepth,
-			LinkUtilization:  r.LinkUtilization,
-		}
-	}
-	kout := make([]LoadKneeResult, len(knees))
-	for i, k := range knees {
-		kout[i] = LoadKneeResult{Arch: k.Arch, Knee: k.Knee, Saturated: k.Saturated}
-	}
-	return out, kout, newObservation(o), nil
+	rows, knees, o, err := experiments.LoadSweepObserved(cfg, loads, lcfg, parallelism, cfg.Obs)
+	return rows, knees, newObservation(o), err
 }

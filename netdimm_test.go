@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"netdimm/internal/workload"
 )
 
 func TestMachineNames(t *testing.T) {
@@ -104,7 +106,7 @@ func TestRunFig7(t *testing.T) {
 }
 
 func TestGenerateTrace(t *testing.T) {
-	evs := GenerateTrace(Webserver, 200, 9)
+	evs := must[[]TraceEvent](t)(GenerateTrace(Webserver, 200, 9))
 	if len(evs) != 200 {
 		t.Fatalf("events = %d", len(evs))
 	}
@@ -121,16 +123,26 @@ func TestGenerateTrace(t *testing.T) {
 		t.Fatalf("webserver trace small fraction = %d/200", small)
 	}
 	// Determinism across calls.
-	evs2 := GenerateTrace(Webserver, 200, 9)
+	evs2 := must[[]TraceEvent](t)(GenerateTrace(Webserver, 200, 9))
 	if evs[100] != evs2[100] {
 		t.Fatal("trace not deterministic")
 	}
 }
 
+// TestClusterMapping checks that every public cluster name resolves to the
+// internal cluster of the same name, and that a misspelled one is an error
+// rather than a silent database trace.
 func TestClusterMapping(t *testing.T) {
 	for _, c := range AllClusters {
-		if c.internal().String() != string(c) {
-			t.Errorf("cluster %s maps to %s", c, c.internal())
+		cl, err := workload.ParseCluster(string(c))
+		if err != nil || cl.String() != string(c) {
+			t.Errorf("cluster %s maps to %v, %v", c, cl, err)
 		}
+		if _, err := GenerateTrace(c, 10, 1); err != nil {
+			t.Errorf("GenerateTrace(%s): %v", c, err)
+		}
+	}
+	if evs, err := GenerateTrace("hadop", 10, 1); err == nil || !strings.Contains(err.Error(), `"hadop"`) {
+		t.Errorf(`GenerateTrace("hadop") = %d events, err %v; want an error naming the cluster`, len(evs), err)
 	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"netdimm/internal/experiments"
 	"netdimm/internal/obs"
+	"netdimm/internal/sim"
 )
 
 // Observation carries the instrumentation collected by one observed run:
@@ -73,40 +74,25 @@ func RunFig11Observed(cfg Config, sizes []int, switchLatency time.Duration, para
 	if len(sizes) == 0 {
 		sizes = experiments.PaperSizes
 	}
-	rows, o, err := experiments.Fig11Observed(cfg.spec(), sizes, simT(switchLatency), parallelism, cfg.Obs)
-	if err != nil {
-		return nil, nil, err
-	}
-	out := make([]Fig11Result, len(rows))
-	for i, r := range rows {
-		out[i] = Fig11Result{
-			Size:            r.Size,
-			DNIC:            fromBreakdown(r.DNIC),
-			INIC:            fromBreakdown(r.INIC),
-			NetDIMM:         fromBreakdown(r.NetDIMM),
-			ReductionVsDNIC: r.ReductionVsDNIC(),
-			ReductionVsINIC: r.ReductionVsINIC(),
-		}
-	}
-	return out, newObservation(o), nil
+	rows, o, err := experiments.Fig11Observed(cfg, sizes, sim.FromDuration(switchLatency), parallelism, cfg.Obs)
+	return rows, newObservation(o), err
 }
 
-// FaultTailResult is one architecture's latency tail over every loss rate
-// of a fault sweep, merged from the per-cell sample sets.
-type FaultTailResult struct {
-	Arch  string
-	Count int
-	Mean  time.Duration
-	P50   time.Duration
-	P99   time.Duration
-}
-
-// RunFaultSweepObserved is RunFaultSweepWithConfig with the observability
-// plane armed per cfg.Obs (retransmit/backoff and NVDIMM-P recovery spans,
-// path outcome counters, fault tallies, engine probes), plus the
-// per-architecture cross-rate latency tails merged from every cell's
-// histogram. Tails are returned regardless of cfg.Obs; the Observation is
-// nil when cfg.Obs is zero.
+// RunFaultSweepObserved measures one-way latency degradation under
+// injected frame loss for dNIC, iNIC and NetDIMM on the system described
+// by cfg. rates are the injected per-traversal loss probabilities (nil
+// uses a representative sweep from lossless to 20%); packets is the
+// delivery count per cell (0 = 200). Only the drop probability is swept;
+// every other fault knob — corruption, port drops, NVDIMM-P RDY loss, the
+// retry/backoff policy — comes from cfg.Fault, so a lossy scenario shapes
+// the whole sweep. A configuration that cannot make progress (for example
+// 100% loss with an unlimited retry budget) is terminated by the per-cell
+// event-budget watchdog and reported as an error rather than hanging.
+//
+// Besides the rows it returns the per-architecture cross-rate latency
+// tails merged from every cell's samples, and an Observation armed per
+// cfg.Obs (retransmit/backoff and NVDIMM-P recovery spans, path outcome
+// counters, fault tallies, engine probes; nil when cfg.Obs is zero).
 func RunFaultSweepObserved(cfg Config, rates []float64, packets int, seed uint64, parallelism int) (_ []FaultSweepResult, _ []FaultTailResult, _ *Observation, err error) {
 	defer guard(&err)
 	if err := cfg.Validate(); err != nil {
@@ -118,57 +104,26 @@ func RunFaultSweepObserved(cfg Config, rates []float64, packets int, seed uint64
 	fcfg := experiments.DefaultFaultSweepConfig()
 	fcfg.Packets = packets
 	fcfg.Seed = seed
-	rows, o, err := experiments.FaultSweepObserved(cfg.spec(), rates, fcfg, parallelism, cfg.Obs)
+	rows, o, err := experiments.FaultSweepObserved(cfg, rates, fcfg, parallelism, cfg.Obs)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	out := make([]FaultSweepResult, len(rows))
-	for i, r := range rows {
-		out[i] = FaultSweepResult{
-			Arch:      r.Arch,
-			LossRate:  r.LossRate,
-			Mean:      toDuration(r.Mean),
-			P50:       toDuration(r.P50),
-			P99:       toDuration(r.P99),
-			Delivered: r.Delivered,
-			Failed:    r.Failed,
-			Counters:  r.Counters,
-		}
-	}
-	var tails []FaultTailResult
-	for _, t := range experiments.FaultTails(rows) {
-		tails = append(tails, FaultTailResult{
-			Arch:  t.Arch,
-			Count: t.Count,
-			Mean:  toDuration(t.Mean),
-			P50:   toDuration(t.P50),
-			P99:   toDuration(t.P99),
-		})
-	}
-	return out, tails, newObservation(o), nil
+	return rows, experiments.FaultTails(rows), newObservation(o), nil
 }
 
-// RunMixedChannelObserved is RunMixedChannelWithConfig with the
-// observability plane armed per cfg.Obs: DDR controller transaction spans
-// and queue depth, NetDIMM device metrics, the NVDIMM-P
-// outstanding-transaction series and an engine probe, all under one
-// "mixed" cell. A zero cfg.Obs returns a nil Observation and output
-// identical to RunMixedChannelWithConfig.
+// RunMixedChannelObserved demonstrates, on the system described by cfg,
+// that a NetDIMM's non-deterministic local accesses coexist with
+// deterministic DDR accesses on one channel (paper Sec. 2.2/4.1), over n
+// reads (0 = 200). The observability plane is armed per cfg.Obs: DDR
+// controller transaction spans and queue depth, NetDIMM device metrics,
+// the NVDIMM-P outstanding-transaction series and an engine probe, all
+// under one "mixed" cell. A zero cfg.Obs returns a nil Observation and
+// unchanged output.
 func RunMixedChannelObserved(cfg Config, n int, seed uint64) (_ MixedChannelResult, _ *Observation, err error) {
 	defer guard(&err)
 	if err := cfg.Validate(); err != nil {
 		return MixedChannelResult{}, nil, err
 	}
-	r, o, err := experiments.MixedChannelObserved(cfg.spec(), n, seed, cfg.Obs)
-	if err != nil {
-		return MixedChannelResult{}, nil, err
-	}
-	return MixedChannelResult{
-		DDRReads:          r.DDRReads,
-		NetDIMMReads:      r.NetDIMMReads,
-		DDRMean:           toDuration(r.DDRMeanLatency),
-		NetDIMMMean:       toDuration(r.NetDIMMMean),
-		OutOfOrder:        r.OutOfOrder,
-		MaxOutstandingIDs: r.MaxOutstandingIDs,
-	}, newObservation(o), nil
+	r, o, err := experiments.MixedChannelObserved(cfg, n, seed, cfg.Obs)
+	return r, newObservation(o), err
 }
