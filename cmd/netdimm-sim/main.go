@@ -10,8 +10,8 @@
 // collsweep, headline, bench, campaign, trajectory, all. Every experiment
 // family of the netdimm registry is a verb here: its axes come from the
 // flags, and -csv prints its registry CSV. The -scenario flag selects the
-// simulated system: a named preset (table1, ddr5, pcie-gen3,
-// multi-netdimm-4, lossy-1pct) or a JSON config file.
+// simulated system: a named preset (table1, ddr5, pcie-gen3, lossy-1pct)
+// or a JSON config file.
 package main
 
 import (

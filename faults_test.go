@@ -50,12 +50,12 @@ func TestRunFaultSweepScenarioConfig(t *testing.T) {
 
 func TestRunFaultSweepRejectsInvalidConfig(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.Fault.DropProb = 1.5
+	cfg.Fault.CorruptProb = 1.5
 	if _, _, _, err := RunFaultSweepObserved(cfg, nil, 10, 0, 1); err == nil {
-		t.Fatal("DropProb 1.5 accepted")
+		t.Fatal("CorruptProb 1.5 accepted")
 	}
 	cfg = DefaultConfig()
-	cfg.Cores = 0
+	cfg.CoreGHz = 0
 	if _, _, _, err := RunFaultSweepObserved(cfg, nil, 10, 0, 1); err == nil {
 		t.Fatal("invalid base config accepted")
 	}
@@ -108,7 +108,7 @@ func TestTableShowsFaultRowOnlyWhenEnabled(t *testing.T) {
 		t.Error("default Table() mentions fault injection")
 	}
 	cfg := DefaultConfig()
-	cfg.Fault.DropProb = 0.01
+	cfg.Fault.CorruptProb = 0.01
 	if !strings.Contains(cfg.Table(), "Fault injection") {
 		t.Error("Table() missing the fault row with faults enabled")
 	}

@@ -1,7 +1,7 @@
 // Package addrmap implements physical memory address mapping: the
-// channel/rank/bank/sub-array/row decode of a NetDIMM rank (paper Fig. 9),
-// and the system-level single-/multi-/flex-channel interleaving modes
-// (paper Sec. 2.3 and Fig. 10).
+// rank/bank/sub-array/row decode of a NetDIMM rank (paper Fig. 9), and the
+// base of the NetDIMM's NET_0 zone in the flex-mode system map (paper
+// Fig. 10).
 //
 // # Rank geometry (paper Fig. 9a)
 //
@@ -37,6 +37,11 @@ const (
 	PageSize      int64 = 4096
 	PageShift           = 12
 )
+
+// NetZoneBase is the physical base of NET_0, the first NetDIMM's zone. In
+// flex mode (paper Fig. 10) the NetDIMM region starts where Table 1's 16GB
+// of channel-interleaved host DDR ends.
+const NetZoneBase int64 = 16 << 30
 
 // Rank geometry constants from paper Fig. 9a.
 const (

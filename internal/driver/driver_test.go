@@ -3,6 +3,7 @@ package driver
 import (
 	"testing"
 
+	"netdimm/internal/cpu"
 	"netdimm/internal/dram"
 	"netdimm/internal/ethernet"
 	"netdimm/internal/nic"
@@ -253,7 +254,7 @@ func TestNetDIMMCloneModeDependsOnAffinity(t *testing.T) {
 // The paper's qualitative result must survive swapping the calibrated
 // software costs for the ones derived from the Table 1 core model.
 func TestOrderingHoldsWithModelCosts(t *testing.T) {
-	costs := CostsFromModel()
+	costs := CostsFromParams(cpu.TableOne())
 	for _, size := range []int{64, 1514, 8000} {
 		p := pkt(size)
 		dn := &HWDriver{Dev: nic.NewDNIC(), Costs: costs}
@@ -277,5 +278,41 @@ func TestOrderingHoldsWithModelCosts(t *testing.T) {
 			t.Errorf("size %d with model costs: ND %v iNIC %v dNIC %v",
 				size, ndB.Total(), inB.Total(), dnB.Total())
 		}
+	}
+}
+
+func TestTxRingCleaning(t *testing.T) {
+	nd, err := NewNetDIMMMachine(17)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Sustained TX far beyond the ring capacity must not wedge: the
+	// polling agent reclaims completed descriptors.
+	for i := 0; i < 1000; i++ {
+		nd.TX(pkt(256))
+	}
+	s := nd.Stats()
+	if s.TxFast != 1000 {
+		t.Fatalf("TxFast = %d", s.TxFast)
+	}
+	if s.TxCleaned == 0 {
+		t.Fatal("no TX descriptors reclaimed")
+	}
+	if s.TxCleaned+uint64(256) < 1000 {
+		t.Fatalf("cleaning fell behind: cleaned %d of 1000", s.TxCleaned)
+	}
+}
+
+func TestRxRingBalanced(t *testing.T) {
+	nd, err := NewNetDIMMMachine(18)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 600; i++ {
+		nd.RX(pkt(512))
+	}
+	// Every RX consumed its descriptor: the ring is empty at rest.
+	if nd.rxRing.Len() != 0 {
+		t.Fatalf("rx ring holds %d stale descriptors", nd.rxRing.Len())
 	}
 }

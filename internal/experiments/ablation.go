@@ -201,7 +201,7 @@ func AllocAblation(sp spec.Spec, packets int) ([]AllocAblationRow, error) {
 	// Strategy 3: hint-less allocation — a conventional buddy allocator
 	// hands back physically sequential pages, which land in different
 	// banks/sub-arrays (Fig. 9c), so the clone degrades to PSM/GCM.
-	zone := kalloc.NewNetDIMMZone("NET_x", d.ZoneBase(0), int64(d.Spec.NetDIMMSizeGB)<<30)
+	zone := kalloc.NewNetDIMMZone("NET_x", addrmap.NetZoneBase, int64(d.Core.Ranks)*addrmap.RankBytes)
 	var fpmCount, total int
 	rxBuf, _ := zone.AllocPage()
 	for i := 0; i < packets; i++ {

@@ -131,35 +131,6 @@ func TestOneWayComposition(t *testing.T) {
 	}
 }
 
-// A multi-NetDIMM system under mixed connection traffic stays consistent:
-// every connection's packets ride its own zone, data integrity holds, and
-// the allocCaches do not leak.
-func TestSystemEndToEnd(t *testing.T) {
-	s, err := driver.NewSystem(2, 40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for round := 0; round < 50; round++ {
-		for conn := uint64(0); conn < 8; conn++ {
-			s.TX(conn, nic.Packet{Size: 256 + int(conn)*64})
-			s.RX(conn, nic.Packet{Size: 512})
-		}
-	}
-	dist := s.Distribution()
-	if dist[0] != 4 || dist[1] != 4 {
-		t.Fatalf("distribution = %v", dist)
-	}
-	if s.FirstPackets() != 8 {
-		t.Fatalf("FirstPackets = %d", s.FirstPackets())
-	}
-	for i := 0; i < 2; i++ {
-		st := s.Driver(i).Stats()
-		if st.AllocSlow > 5 {
-			t.Fatalf("NET_%d allocCache degraded: %+v", i, st)
-		}
-	}
-}
-
 // Breakdown components always sum to the total (no unaccounted time).
 func TestBreakdownAccounting(t *testing.T) {
 	nd, err := driver.NewNetDIMMMachine(41)

@@ -91,7 +91,7 @@ func (s Spec) Validate() error {
 		{"MemTimeoutProb", s.MemTimeoutProb},
 	}
 	for _, pr := range probs {
-		if pr.p < 0 || pr.p > 1 {
+		if !(pr.p >= 0 && pr.p <= 1) { // NaN fails both comparisons
 			return fmt.Errorf("fault: %s must be in [0,1], got %g", pr.name, pr.p)
 		}
 	}

@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -29,6 +30,11 @@ func TestSpecValidate(t *testing.T) {
 		{RetryBaseNs: -5},
 		{MemTimeoutNs: -1},
 		{RetryBaseNs: 200, RetryCapNs: 100},
+		{DropProb: math.NaN()},
+		{CorruptProb: math.NaN()},
+		{PortDropProb: math.Inf(1)},
+		{MemTimeoutProb: math.NaN()},
+		{MemTimeoutProb: math.Inf(-1)},
 	}
 	for _, s := range bad {
 		if err := s.Validate(); err == nil {
@@ -143,6 +149,7 @@ func TestSpecValidateFailure(t *testing.T) {
 		{Failure: Schedule{Outages: []Outage{{Kind: "bogus", EndNs: 1}}}},
 		{Failure: Schedule{Outages: []Outage{{Kind: OutageSpine, StartNs: 5, EndNs: 5}}}},
 		{Failure: Schedule{Burst: Burst{BadLossProb: 2}}},
+		{Failure: Schedule{Burst: Burst{GoodToBad: math.NaN()}}},
 	}
 	for _, s := range bad {
 		if err := s.Validate(); err == nil {

@@ -117,7 +117,7 @@ func (b Burst) Validate() error {
 		{"BadToGood", b.BadToGood},
 	}
 	for _, pr := range probs {
-		if pr.p < 0 || pr.p > 1 || pr.p != pr.p {
+		if !(pr.p >= 0 && pr.p <= 1) { // NaN fails both comparisons
 			return fmt.Errorf("fault: Burst %s must be in [0,1], got %g", pr.name, pr.p)
 		}
 	}

@@ -1,8 +1,8 @@
 // Package spec is the configuration plane: it maps one validated system
 // specification (the paper's Table 1, or any scenario derived from it) to
 // the parameter sets of every substrate package — software costs, NetDIMM
-// device config, memory-controller config, DRAM timing, PCIe link,
-// Ethernet fabric and the flex-mode address map with its NET_i zone bases.
+// device config, memory-controller config, DRAM timing, PCIe link and
+// Ethernet fabric.
 //
 // The root netdimm package's Config is an alias of Spec; the internal
 // experiment runners consume the derived form, so every model constant in
@@ -12,6 +12,7 @@ package spec
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"netdimm/internal/addrmap"
@@ -33,29 +34,20 @@ import (
 
 // Spec is the full simulated-system specification, exported by the root
 // package as netdimm.Config. Its JSON form (field names, no tags) is the
-// scenario-file format.
+// scenario-file format. Only the Table 1 parameters some model reads are
+// fields; the rest of Table 1 (core count, IQ/LQ/SQ sizes, cache sizes,
+// L1I latency, host DRAM size and channels, NetDIMM count and capacity)
+// is fixed and printed by Table as the paper states it.
 type Spec struct {
-	Cores         int
-	CoreGHz       float64
-	SuperscalarW  int
-	ROBEntries    int
-	IQEntries     int
-	LQEntries     int
-	SQEntries     int
-	L1ISizeKB     int
-	L1DSizeKB     int
-	L2SizeMB      int
-	L1ILatCycles  int
-	L1DLatCycles  int
-	L2LatCycles   int
-	DRAM          string
-	DRAMSizeGB    int
-	MemChannels   int
-	NetworkGbps   int
-	SwitchLatNs   int
-	NetDIMMs      int
-	PCIe          string
-	NetDIMMSizeGB int
+	CoreGHz      float64
+	SuperscalarW int
+	ROBEntries   int
+	L1DLatCycles int
+	L2LatCycles  int
+	DRAM         string
+	NetworkGbps  int
+	SwitchLatNs  int
+	PCIe         string
 	// Fault configures deterministic fault injection; the zero value
 	// disables every fault and leaves all experiments bit-identical to a
 	// fault-free run.
@@ -82,27 +74,15 @@ type Spec struct {
 // TableOne returns the paper's Table 1 specification.
 func TableOne() Spec {
 	return Spec{
-		Cores:         8,
-		CoreGHz:       3.4,
-		SuperscalarW:  3,
-		ROBEntries:    40,
-		IQEntries:     32,
-		LQEntries:     16,
-		SQEntries:     16,
-		L1ISizeKB:     32,
-		L1DSizeKB:     64,
-		L2SizeMB:      2,
-		L1ILatCycles:  1,
-		L1DLatCycles:  2,
-		L2LatCycles:   12,
-		DRAM:          "DDR4-2400",
-		DRAMSizeGB:    16,
-		MemChannels:   2,
-		NetworkGbps:   40,
-		SwitchLatNs:   100,
-		NetDIMMs:      1,
-		PCIe:          "x8 PCIe Gen4",
-		NetDIMMSizeGB: 16,
+		CoreGHz:      3.4,
+		SuperscalarW: 3,
+		ROBEntries:   40,
+		L1DLatCycles: 2,
+		L2LatCycles:  12,
+		DRAM:         "DDR4-2400",
+		NetworkGbps:  40,
+		SwitchLatNs:  100,
+		PCIe:         "x8 PCIe Gen4",
 	}
 }
 
@@ -112,15 +92,15 @@ func (s Spec) Table() string {
 	var sb strings.Builder
 	row := func(k, v string) { fmt.Fprintf(&sb, "%-34s %s\n", k, v) }
 	sb.WriteString("Table 1: System configuration.\n")
-	row("Cores (# cores, freq):", fmt.Sprintf("(%d, %.1fGHz)", s.Cores, s.CoreGHz))
+	row("Cores (# cores, freq):", fmt.Sprintf("(8, %.1fGHz)", s.CoreGHz))
 	row("Superscalar", fmt.Sprintf("%d ways", s.SuperscalarW))
-	row("ROB/IQ/LQ/SQ entries", fmt.Sprintf("%d/%d/%d/%d", s.ROBEntries, s.IQEntries, s.LQEntries, s.SQEntries))
-	row("Caches (size): I/D/L2", fmt.Sprintf("%dKB/%dKB/%dMB", s.L1ISizeKB, s.L1DSizeKB, s.L2SizeMB))
-	row("L1I/L1D/L2 latency", fmt.Sprintf("%d/%d/%d cycles", s.L1ILatCycles, s.L1DLatCycles, s.L2LatCycles))
-	row("DRAM", fmt.Sprintf("%s/%dGB/%d channels", s.DRAM, s.DRAMSizeGB, s.MemChannels))
-	row("Network/Switch latency/#NetDIMM", fmt.Sprintf("%dGbE/%dns/%d", s.NetworkGbps, s.SwitchLatNs, s.NetDIMMs))
+	row("ROB/IQ/LQ/SQ entries", fmt.Sprintf("%d/32/16/16", s.ROBEntries))
+	row("Caches (size): I/D/L2", "32KB/64KB/2MB")
+	row("L1I/L1D/L2 latency", fmt.Sprintf("1/%d/%d cycles", s.L1DLatCycles, s.L2LatCycles))
+	row("DRAM", fmt.Sprintf("%s/16GB/2 channels", s.DRAM))
+	row("Network/Switch latency/#NetDIMM", fmt.Sprintf("%dGbE/%dns/1", s.NetworkGbps, s.SwitchLatNs))
 	row("PCIe performance", s.PCIe)
-	row("NetDIMM capacity", fmt.Sprintf("%dGB (two 8GB ranks)", s.NetDIMMSizeGB))
+	row("NetDIMM capacity", "16GB (two 8GB ranks)")
 	if s.Fault.Enabled() {
 		row("Fault injection", s.Fault.String())
 	}
@@ -163,44 +143,23 @@ func orDefault(s, def string) string {
 	return s
 }
 
-func powerOfTwo(n int) bool { return n > 0 && n&(n-1) == 0 }
-
 // Validate checks the specification for internal consistency and returns
 // an actionable error for the first violation found.
 func (s Spec) Validate() error {
 	switch {
-	case s.Cores < 1:
-		return fmt.Errorf("spec: Cores must be at least 1, got %d", s.Cores)
-	case s.CoreGHz <= 0:
-		return fmt.Errorf("spec: CoreGHz must be positive, got %g", s.CoreGHz)
+	case s.CoreGHz <= 0 || math.IsNaN(s.CoreGHz) || math.IsInf(s.CoreGHz, 0):
+		return fmt.Errorf("spec: CoreGHz must be finite and positive, got %g", s.CoreGHz)
 	case s.SuperscalarW < 1:
 		return fmt.Errorf("spec: SuperscalarW must be at least 1, got %d", s.SuperscalarW)
-	case s.ROBEntries < 1 || s.IQEntries < 1 || s.LQEntries < 1 || s.SQEntries < 1:
-		return fmt.Errorf("spec: ROB/IQ/LQ/SQ entries must all be at least 1, got %d/%d/%d/%d",
-			s.ROBEntries, s.IQEntries, s.LQEntries, s.SQEntries)
-	case !powerOfTwo(s.L1ISizeKB) || !powerOfTwo(s.L1DSizeKB):
-		return fmt.Errorf("spec: L1 cache sizes must be powers of two (KB), got L1I=%dKB L1D=%dKB",
-			s.L1ISizeKB, s.L1DSizeKB)
-	case !powerOfTwo(s.L2SizeMB):
-		return fmt.Errorf("spec: L2 size must be a power of two (MB), got %dMB", s.L2SizeMB)
-	case s.L1ILatCycles < 1 || s.L1DLatCycles < 1 || s.L2LatCycles < 1:
-		return fmt.Errorf("spec: cache latencies must be at least 1 cycle, got L1I=%d L1D=%d L2=%d",
-			s.L1ILatCycles, s.L1DLatCycles, s.L2LatCycles)
-	case !powerOfTwo(s.DRAMSizeGB):
-		return fmt.Errorf("spec: DRAMSizeGB must be a power of two for channel interleaving, got %d", s.DRAMSizeGB)
-	case s.MemChannels < 1:
-		return fmt.Errorf("spec: MemChannels must be at least 1, got %d", s.MemChannels)
+	case s.ROBEntries < 1:
+		return fmt.Errorf("spec: ROBEntries must be at least 1, got %d", s.ROBEntries)
+	case s.L1DLatCycles < 1 || s.L2LatCycles < 1:
+		return fmt.Errorf("spec: cache latencies must be at least 1 cycle, got L1D=%d L2=%d",
+			s.L1DLatCycles, s.L2LatCycles)
 	case s.NetworkGbps < 1:
 		return fmt.Errorf("spec: NetworkGbps must be at least 1, got %d", s.NetworkGbps)
 	case s.SwitchLatNs < 0:
 		return fmt.Errorf("spec: SwitchLatNs must not be negative, got %d", s.SwitchLatNs)
-	case s.NetDIMMs < 1:
-		return fmt.Errorf("spec: NetDIMMs must be at least 1, got %d", s.NetDIMMs)
-	case s.NetDIMMs > 2*s.MemChannels:
-		return fmt.Errorf("spec: %d NetDIMMs exceed the address map: %d channels offer %d DIMM slots (two per channel)",
-			s.NetDIMMs, s.MemChannels, 2*s.MemChannels)
-	case s.NetDIMMSizeGB < 8 || s.NetDIMMSizeGB%8 != 0:
-		return fmt.Errorf("spec: NetDIMMSizeGB must be a positive multiple of the 8GB rank size, got %d", s.NetDIMMSizeGB)
 	}
 	if _, err := dram.ParseTiming(s.DRAM); err != nil {
 		return fmt.Errorf("spec: DRAM: %w", err)
@@ -210,6 +169,10 @@ func (s Spec) Validate() error {
 	}
 	if err := s.Fault.Validate(); err != nil {
 		return fmt.Errorf("spec: %w", err)
+	}
+	if s.Fault.DropProb != 0 {
+		return fmt.Errorf("spec: Fault.DropProb cannot be set in a scenario: the faultsweep loss axis (-loss) sets it per cell " +
+			"and no other experiment draws link loss; use CorruptProb, PortDropProb or Failure.Burst for background loss")
 	}
 	if err := s.Load.Validate(); err != nil {
 		return fmt.Errorf("spec: %w", err)
@@ -248,9 +211,6 @@ type Derived struct {
 	Link ethernet.Link
 	// SwitchLatency is the default switch port-to-port latency.
 	SwitchLatency sim.Time
-	// Map is the flex-mode physical address map: the DDR region
-	// interleaved over MemChannels, then one NET_i region per NetDIMM.
-	Map *addrmap.SystemMap
 }
 
 // Derive validates the specification and resolves it into the parameter
@@ -268,18 +228,7 @@ func (s Spec) Derive() (*Derived, error) {
 		return nil, err
 	}
 
-	ndBytes := int64(s.NetDIMMSizeGB) << 30
-	ndSpecs := make([]addrmap.NetDIMMSpec, s.NetDIMMs)
-	for i := range ndSpecs {
-		ndSpecs[i] = addrmap.NetDIMMSpec{Channel: i % s.MemChannels, Size: ndBytes}
-	}
-	m, err := addrmap.NewSystemMap(s.MemChannels, int64(s.DRAMSizeGB)<<30, addrmap.PageSize, ndSpecs...)
-	if err != nil {
-		return nil, fmt.Errorf("spec: address map: %w", err)
-	}
-
 	coreCfg := core.DefaultConfig()
-	coreCfg.Ranks = int(ndBytes / addrmap.RankBytes)
 	coreCfg.LocalTiming = timing
 
 	return &Derived{
@@ -291,7 +240,6 @@ func (s Spec) Derive() (*Derived, error) {
 		PCIe:          link,
 		Link:          ethernet.LinkGbps(float64(s.NetworkGbps)),
 		SwitchLatency: sim.Time(s.SwitchLatNs) * sim.Nanosecond,
-		Map:           m,
 	}, nil
 }
 
@@ -321,22 +269,11 @@ func (s Spec) costs() driver.Costs {
 	return driver.CostsFromParams(p)
 }
 
-// ZoneBase returns the physical base address of NetDIMM i's NET_i zone.
+// ZoneBase returns the physical base address of NetDIMM i's NET_i zone:
+// the NET_i regions are stacked, one NetDIMM capacity each, from
+// addrmap.NetZoneBase.
 func (d *Derived) ZoneBase(i int) int64 {
-	r, err := d.Map.NetDIMMRegion(i)
-	if err != nil {
-		panic(err) // unreachable: Derive sized the map to Spec.NetDIMMs
-	}
-	return r.Base
-}
-
-// ZoneBases returns every NET_i zone base in NetDIMM order.
-func (d *Derived) ZoneBases() []int64 {
-	bases := make([]int64, d.Spec.NetDIMMs)
-	for i := range bases {
-		bases[i] = d.ZoneBase(i)
-	}
-	return bases
+	return addrmap.NetZoneBase + int64(i)*int64(d.Core.Ranks)*addrmap.RankBytes
 }
 
 // ShardLookahead returns the conservative lookahead for sharding one
@@ -382,10 +319,4 @@ func (d *Derived) NewNetDIMM(seed uint64) (*driver.NetDIMMDriver, error) {
 	cfg := d.Core
 	cfg.Seed = seed
 	return driver.NewNetDIMMMachineWith(cfg, d.ZoneBase(0), d.Costs)
-}
-
-// NewSystem builds a server carrying all Spec.NetDIMMs NetDIMMs with their
-// NET_i zones placed by the derived address map.
-func (d *Derived) NewSystem(seed uint64) (*driver.System, error) {
-	return driver.NewSystemWith(d.Core, d.ZoneBases(), d.Costs, seed)
 }

@@ -1,11 +1,11 @@
 package spec
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
 
-	"netdimm/internal/addrmap"
 	"netdimm/internal/core"
 	"netdimm/internal/cpu"
 	"netdimm/internal/dram"
@@ -96,27 +96,6 @@ func TestDeriveNonTableOneCosts(t *testing.T) {
 	}
 }
 
-func TestDeriveMultiNetDIMMZoneBases(t *testing.T) {
-	s := TableOne()
-	s.NetDIMMs = 4
-	s.MemChannels = 4
-	d, err := s.Derive()
-	if err != nil {
-		t.Fatal(err)
-	}
-	bases := d.ZoneBases()
-	if len(bases) != 4 {
-		t.Fatalf("bases = %d", len(bases))
-	}
-	ddr := int64(s.DRAMSizeGB) << 30
-	size := int64(s.NetDIMMSizeGB) << 30
-	for i, b := range bases {
-		if want := ddr + int64(i)*size; b != want {
-			t.Errorf("base[%d] = %d, want %d", i, b, want)
-		}
-	}
-}
-
 func TestDeriveLinkRate(t *testing.T) {
 	s := TableOne()
 	s.NetworkGbps = 100
@@ -159,20 +138,15 @@ func TestValidateErrors(t *testing.T) {
 		s    Spec
 		frag string
 	}{
-		{"cores", mut(func(s *Spec) { s.Cores = 0 }), "Cores"},
 		{"freq", mut(func(s *Spec) { s.CoreGHz = -1 }), "CoreGHz"},
+		{"freq-nan", mut(func(s *Spec) { s.CoreGHz = math.NaN() }), "CoreGHz"},
+		{"freq-inf", mut(func(s *Spec) { s.CoreGHz = math.Inf(1) }), "CoreGHz"},
+		{"freq-neginf", mut(func(s *Spec) { s.CoreGHz = math.Inf(-1) }), "CoreGHz"},
 		{"superscalar", mut(func(s *Spec) { s.SuperscalarW = 0 }), "SuperscalarW"},
 		{"rob", mut(func(s *Spec) { s.ROBEntries = 0 }), "ROB"},
-		{"l1size", mut(func(s *Spec) { s.L1DSizeKB = 48 }), "powers of two"},
-		{"l2size", mut(func(s *Spec) { s.L2SizeMB = 3 }), "L2"},
 		{"cachelat", mut(func(s *Spec) { s.L1DLatCycles = 0 }), "cache latencies"},
-		{"dramsize", mut(func(s *Spec) { s.DRAMSizeGB = 12 }), "DRAMSizeGB"},
-		{"channels", mut(func(s *Spec) { s.MemChannels = 0 }), "MemChannels"},
 		{"network", mut(func(s *Spec) { s.NetworkGbps = 0 }), "NetworkGbps"},
 		{"switch", mut(func(s *Spec) { s.SwitchLatNs = -1 }), "SwitchLatNs"},
-		{"netdimms", mut(func(s *Spec) { s.NetDIMMs = 0 }), "NetDIMMs"},
-		{"slots", mut(func(s *Spec) { s.NetDIMMs = 5 }), "DIMM slots"},
-		{"ndsize", mut(func(s *Spec) { s.NetDIMMSizeGB = 12 }), "rank size"},
 		{"dram", mut(func(s *Spec) { s.DRAM = "DDR3-1600" }), "DDR4-2400"},
 		{"pcie", mut(func(s *Spec) { s.PCIe = "x8 AGP" }), "cannot parse"},
 	}
@@ -199,21 +173,6 @@ func TestMustDerivePanicsOnInvalid(t *testing.T) {
 		}
 	}()
 	s := TableOne()
-	s.Cores = 0
+	s.SuperscalarW = 0
 	s.MustDerive()
-}
-
-func TestDeriveRanksScaleWithCapacity(t *testing.T) {
-	s := TableOne()
-	d := s.MustDerive()
-	if got := d.Core.Ranks; got != 2 {
-		t.Fatalf("16GB NetDIMM ranks = %d, want 2", got)
-	}
-	s.NetDIMMSizeGB = 32
-	if got := s.MustDerive().Core.Ranks; got != 4 {
-		t.Fatalf("32GB NetDIMM ranks = %d, want 4", got)
-	}
-	if addrmap.RankBytes != 8<<30 {
-		t.Fatalf("RankBytes = %d, want 8GB", int64(addrmap.RankBytes))
-	}
 }

@@ -2,6 +2,7 @@ package netdimm
 
 import (
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -73,19 +74,24 @@ func TestScenarioPartialJSONFillsDefaults(t *testing.T) {
 	}
 }
 
+// A misspelt field, or a Table 1 parameter no model reads (these are not
+// Config fields), is rejected rather than silently ignored.
 func TestScenarioRejectsUnknownField(t *testing.T) {
-	_, err := ReadScenario(strings.NewReader(`{"DARM": "DDR5-4800"}`))
-	if err == nil {
-		t.Fatal("unknown field accepted")
+	for _, field := range []string{"DARM", "Cores", "IQEntries", "LQEntries", "SQEntries",
+		"L1ISizeKB", "L1DSizeKB", "L2SizeMB", "L1ILatCycles", "DRAMSizeGB", "MemChannels",
+		"NetDIMMs", "NetDIMMSizeGB"} {
+		if _, err := ReadScenario(strings.NewReader(`{"` + field + `": 4}`)); err == nil {
+			t.Errorf("unknown field %s accepted", field)
+		}
 	}
 }
 
 func TestScenarioRejectsInvalidConfig(t *testing.T) {
-	_, err := ReadScenario(strings.NewReader(`{"Cores": 0}`))
+	_, err := ReadScenario(strings.NewReader(`{"CoreGHz": 0}`))
 	if err == nil {
 		t.Fatal("invalid config accepted")
 	}
-	if !strings.Contains(err.Error(), "Cores") {
+	if !strings.Contains(err.Error(), "CoreGHz") {
 		t.Errorf("error %q does not name the offending field", err)
 	}
 }
@@ -102,8 +108,8 @@ func TestLoadScenarioFile(t *testing.T) {
 	if cfg.PCIe != "x8 PCIe Gen3" {
 		t.Errorf("PCIe = %q", cfg.PCIe)
 	}
-	if cfg.Cores != DefaultConfig().Cores {
-		t.Errorf("unset fields not defaulted: Cores = %d", cfg.Cores)
+	if cfg.CoreGHz != DefaultConfig().CoreGHz {
+		t.Errorf("unset fields not defaulted: CoreGHz = %g", cfg.CoreGHz)
 	}
 }
 
@@ -119,10 +125,17 @@ func TestValidateActionableErrors(t *testing.T) {
 		t.Errorf("error %q does not list supported technologies", err)
 	}
 
-	cfg = DefaultConfig()
-	cfg.NetDIMMs = 9
-	if err := cfg.Validate(); err == nil {
-		t.Fatal("9 NetDIMMs on 4 channels accepted")
+	// A non-finite clock would yield nonsense latencies, so it must be
+	// rejected before any experiment runs.
+	for _, ghz := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		cfg = DefaultConfig()
+		cfg.CoreGHz = ghz
+		if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), "finite") {
+			t.Errorf("CoreGHz %g: Validate = %v, want a finite-clock error", ghz, err)
+		}
+		if _, err := RunFig4WithConfig(cfg, []int{64}, 0, 1); err == nil {
+			t.Errorf("RunFig4WithConfig accepted CoreGHz %g", ghz)
+		}
 	}
 }
 
