@@ -1,5 +1,5 @@
 // Package kalloc models the Linux kernel physical-page allocator as the
-// paper extends it: memory zones including the per-NetDIMM NET_i zones, the
+// paper extends it: the per-NetDIMM NET_i zones, the
 // __alloc_netdimm_pages(zone, hint) API that allocates a page in the same
 // bank sub-array as a hint address, and the allocCache pre-allocation hash
 // table the NetDIMM driver uses to keep DMA-buffer allocation off the
@@ -16,42 +16,33 @@ import (
 // __alloc_netdimm_pages(zone, -1).
 const NoHint int64 = -1
 
-// ZoneKind distinguishes ordinary kernel zones from NetDIMM zones.
-type ZoneKind int
-
-const (
-	// ZoneNormal models ZONE_NORMAL: regularly mapped host pages.
-	ZoneNormal ZoneKind = iota
-	// ZoneNetDIMM models a NET_i zone: the local DRAM of NetDIMM i,
-	// organised by (rank, bank, sub-array) for affine allocation.
-	ZoneNetDIMM
-)
-
-// Zone is one contiguous physical memory zone with page-granular
-// allocation.
+// Zone is one NET_i zone: the local DRAM of a NetDIMM, allocated page by
+// page and organised by (rank, bank, sub-array) for affine allocation.
 type Zone struct {
 	Name string
-	Kind ZoneKind
 	Base int64 // first physical address
 	Size int64
 
-	// ZoneNormal bookkeeping: bump pointer + free list.
-	bump  int64
-	freed []int64
+	ranks int
 
-	// ZoneNetDIMM bookkeeping: per-(rank,bank,sub-array) buckets. Each
-	// bucket hands out its pages lazily (fresh counter) and recycles via a
-	// free list.
-	buckets []subBucket
-	ranks   int
+	// Per-(rank, bank, sub-array) bookkeeping, the attached allocCache's
+	// included, exists only for buckets something has touched: a zone and
+	// its cache build in O(1) and grow with the pages a machine uses, not
+	// with its 16GB. index maps a touched bucket's key to its record in
+	// touched. Records stay in first-touch order, so nothing ever ranges
+	// over the map.
+	index   map[int32]int32
+	touched []bucket
+	// reserve is the number of fresh pages, indices [0, reserve), that the
+	// attached allocCache holds in every bucket it found untouched; 0
+	// until a cache attaches. An untouched bucket is in exactly the state
+	// an eager prefill would have left it in: those pages allocated and
+	// held by the cache, none freed.
+	reserve int
+	// firstFree is a lower bound on the first bucket key with a free page:
+	// every bucket below it is exhausted, so no-hint scans start here.
+	firstFree int
 
-	// allocated is a page-granular bitmap over [Base, Base+Size): bit i
-	// covers page i. One bit per 4KB page costs Size/32768 bytes — far
-	// below the hash table it replaced, and allocation tracking becomes
-	// two shifts and a mask instead of a map operation (the allocCache
-	// prefill walks every bucket at construction, so this is on the
-	// machine build path).
-	allocated  []uint64
 	allocCount int64
 	stats      ZoneStats
 }
@@ -65,71 +56,77 @@ type ZoneStats struct {
 	Failures      uint64
 }
 
-type subBucket struct {
-	fresh int // next fresh page index in [0, pagesPerBucket)
-	freed []int64
+// bucket is one touched (rank, bank, sub-array): it hands out its pages
+// lazily (fresh counter), recycles them LIFO via a free list, and tracks
+// which of its pages are allocated with one bit per page. It also holds
+// the allocCache's ready pages of the sub-array: its reserved fresh pages
+// [0, reserved), then the pages in cached, the next one on top.
+type bucket struct {
+	key       int32
+	fresh     int     // next fresh page index in [0, pagesPerBucket]
+	freed     []uint8 // indices of freed pages, most recent last
+	allocated [pagesPerBucket / 64]uint64
+
+	reserved int
+	cached   []int64
 }
 
 // pagesPerBucket is the number of 4KB pages per (bank, sub-array) pair:
 // 128 rows x 2 half-row pages.
 const pagesPerBucket = addrmap.RowsPerSubarray * 2
 
-// NewNormalZone returns a ZONE_NORMAL-style zone over [base, base+size).
-func NewNormalZone(name string, base, size int64) *Zone {
-	mustPageAligned(base, size)
-	return &Zone{
-		Name: name, Kind: ZoneNormal, Base: base, Size: size,
-		allocated: make([]uint64, pageBitmapWords(size)),
-	}
-}
-
 // NewNetDIMMZone returns a NET_i zone over the NetDIMM's local memory. The
 // size must be a whole number of 8GB ranks (paper Fig. 9a geometry).
 func NewNetDIMMZone(name string, base, size int64) *Zone {
-	mustPageAligned(base, size)
-	if size%addrmap.RankBytes != 0 {
-		panic(fmt.Sprintf("kalloc: NetDIMM zone size %d not a multiple of the 8GB rank", size))
+	if base%addrmap.PageSize != 0 || size <= 0 || size%addrmap.RankBytes != 0 {
+		panic(fmt.Sprintf("kalloc: zone base %#x not page aligned or size %#x not a positive multiple of the 8GB rank", base, size))
 	}
-	ranks := int(size / addrmap.RankBytes)
-	return &Zone{
-		Name: name, Kind: ZoneNetDIMM, Base: base, Size: size,
-		buckets:   make([]subBucket, ranks*addrmap.SubarraysPerRank),
-		ranks:     ranks,
-		allocated: make([]uint64, pageBitmapWords(size)),
+	return &Zone{Name: name, Base: base, Size: size, ranks: int(size / addrmap.RankBytes)}
+}
+
+// lookup returns the record of bucket key, or nil if nothing touched it.
+// The pointer is valid until the next record is added.
+func (z *Zone) lookup(key int) *bucket {
+	if i, ok := z.index[int32(key)]; ok {
+		return &z.touched[i]
 	}
+	return nil
 }
 
-// pageBitmapWords sizes the allocation bitmap: one bit per page, rounded
-// up to whole 64-bit words.
-func pageBitmapWords(size int64) int64 {
-	return (size/addrmap.PageSize + 63) / 64
-}
-
-// pageBit locates a page's bitmap word and mask. The address must lie in
-// the zone and be page aligned (callers validate both).
-func (z *Zone) pageBit(addr int64) (word int64, mask uint64) {
-	page := (addr - z.Base) / addrmap.PageSize
-	return page / 64, 1 << uint(page%64)
-}
-
-func (z *Zone) isAllocated(addr int64) bool {
-	w, m := z.pageBit(addr)
-	return z.allocated[w]&m != 0
-}
-
-// markAllocated sets the page's bit; AllocPageHint and the allocCache
-// prefill share it so allocation accounting has one authority.
-func (z *Zone) markAllocated(addr int64) {
-	w, m := z.pageBit(addr)
-	z.allocated[w] |= m
-	z.allocCount++
-	z.stats.Allocs++
-}
-
-func mustPageAligned(base, size int64) {
-	if base%addrmap.PageSize != 0 || size <= 0 || size%addrmap.PageSize != 0 {
-		panic(fmt.Sprintf("kalloc: zone base %#x / size %#x not page aligned", base, size))
+// bucketFor returns the record of bucket key. A first touch adds it in
+// the state an untouched bucket stands for: the cache's reserved pages
+// allocated, none freed.
+func (z *Zone) bucketFor(key int) *bucket {
+	if b := z.lookup(key); b != nil {
+		return b
 	}
+	if z.index == nil {
+		z.index = make(map[int32]int32)
+	}
+	b := bucket{key: int32(key), fresh: z.reserve, reserved: z.reserve}
+	for i := 0; i < z.reserve; i++ {
+		b.allocated[i/64] |= 1 << uint(i%64)
+	}
+	z.index[int32(key)] = int32(len(z.touched))
+	z.touched = append(z.touched, b)
+	return &z.touched[len(z.touched)-1]
+}
+
+// hasFree reports whether bucket key has a page to give, without
+// touching it.
+func (z *Zone) hasFree(key int) bool {
+	if b := z.lookup(key); b != nil {
+		return len(b.freed) > 0 || b.fresh < pagesPerBucket
+	}
+	return z.reserve < pagesPerBucket
+}
+
+// locate returns the bucket key of a page in the zone and the page's index
+// within its bucket (the inverse of bucketPage).
+func (z *Zone) locate(addr int64) (key, idx int) {
+	local := addr - z.Base
+	l := addrmap.DecodeRank(local)
+	return int(addrmap.SubarrayOf(local)), l.Row<<1 | int(l.Column>>addrmap.PageShift)
 }
 
 // Stats returns a copy of the zone statistics.
@@ -155,68 +152,56 @@ func (z *Zone) AllocPage() (int64, error) {
 // sub-array has no free page, any free page in the zone is returned.
 func (z *Zone) AllocPageHint(hint int64) (int64, error) {
 	var addr int64 = -1
-	switch z.Kind {
-	case ZoneNormal:
-		addr = z.allocNormal()
-	case ZoneNetDIMM:
-		if hint != NoHint {
-			if !z.Contains(hint) {
-				return 0, fmt.Errorf("kalloc: hint %#x outside zone %s", hint, z.Name)
-			}
-			key := addrmap.SubarrayOf(hint - z.Base)
-			addr = z.allocFromBucket(int(key))
-			if addr >= 0 {
-				z.stats.HintSatisfied++
-			} else {
-				z.stats.HintFallback++
-			}
+	if hint != NoHint {
+		if !z.Contains(hint) {
+			return 0, fmt.Errorf("kalloc: hint %#x outside zone %s", hint, z.Name)
 		}
-		if addr < 0 {
-			addr = z.allocAnyBucket()
+		addr = z.allocFromBucket(int(addrmap.SubarrayOf(hint - z.Base)))
+		if addr >= 0 {
+			z.stats.HintSatisfied++
+		} else {
+			z.stats.HintFallback++
 		}
+	}
+	if addr < 0 {
+		addr = z.allocAnyBucket()
 	}
 	if addr < 0 {
 		z.stats.Failures++
 		return 0, fmt.Errorf("kalloc: zone %s exhausted", z.Name)
 	}
-	z.markAllocated(addr)
 	return addr, nil
 }
 
-func (z *Zone) allocNormal() int64 {
-	if n := len(z.freed); n > 0 {
-		a := z.freed[n-1]
-		z.freed = z.freed[:n-1]
-		return a
-	}
-	if z.bump >= z.Size {
-		return -1
-	}
-	a := z.Base + z.bump
-	z.bump += addrmap.PageSize
-	return a
-}
-
-// allocFromBucket returns a free page of bucket key, or -1.
+// allocFromBucket allocates a page of bucket key, its most recently freed
+// one first, or returns -1 if the bucket is exhausted. AllocPageHint and
+// the allocCache fill share it, so allocation accounting has one
+// authority.
 func (z *Zone) allocFromBucket(key int) int64 {
-	b := &z.buckets[key]
-	if n := len(b.freed); n > 0 {
-		a := b.freed[n-1]
-		b.freed = b.freed[:n-1]
-		return a
-	}
-	if b.fresh >= pagesPerBucket {
+	if !z.hasFree(key) {
 		return -1
 	}
-	a := z.bucketPage(key, b.fresh)
-	b.fresh++
-	return a
+	b := z.bucketFor(key)
+	var idx int
+	if n := len(b.freed); n > 0 {
+		idx = int(b.freed[n-1])
+		b.freed = b.freed[:n-1]
+	} else {
+		idx = b.fresh
+		b.fresh++
+	}
+	b.allocated[idx/64] |= 1 << uint(idx%64)
+	z.allocCount++
+	z.stats.Allocs++
+	return z.bucketPage(key, idx)
 }
 
+// allocAnyBucket allocates from the first bucket, in key order, that has a
+// free page.
 func (z *Zone) allocAnyBucket() int64 {
-	for key := range z.buckets {
-		if a := z.allocFromBucket(key); a >= 0 {
-			return a
+	for ; z.firstFree < z.Buckets(); z.firstFree++ {
+		if z.hasFree(z.firstFree) {
+			return z.allocFromBucket(z.firstFree)
 		}
 	}
 	return -1
@@ -247,30 +232,32 @@ func (z *Zone) FreePage(addr int64) error {
 	if addr%addrmap.PageSize != 0 {
 		return fmt.Errorf("kalloc: freeing unaligned address %#x", addr)
 	}
-	if !z.isAllocated(addr) {
+	key, idx := z.locate(addr)
+	mask := uint64(1) << uint(idx%64)
+	allocated := idx < z.reserve
+	b := z.lookup(key)
+	if b != nil {
+		allocated = b.allocated[idx/64]&mask != 0
+	}
+	if !allocated {
 		return fmt.Errorf("kalloc: double free of %#x in zone %s", addr, z.Name)
 	}
-	w, m := z.pageBit(addr)
-	z.allocated[w] &^= m
+	if b == nil {
+		b = z.bucketFor(key)
+	}
+	b.allocated[idx/64] &^= mask
+	b.freed = append(b.freed, uint8(idx))
 	z.allocCount--
 	z.stats.Frees++
-	switch z.Kind {
-	case ZoneNormal:
-		z.freed = append(z.freed, addr)
-	case ZoneNetDIMM:
-		key := addrmap.SubarrayOf(addr - z.Base)
-		b := &z.buckets[key]
-		b.freed = append(b.freed, addr)
+	if key < z.firstFree {
+		z.firstFree = key
 	}
 	return nil
 }
 
 // SubarrayKeyOf returns the allocCache bucket key of a physical address in
-// a NetDIMM zone.
+// the zone.
 func (z *Zone) SubarrayKeyOf(phys int64) (addrmap.SubarrayKey, error) {
-	if z.Kind != ZoneNetDIMM {
-		return 0, fmt.Errorf("kalloc: zone %s has no sub-array structure", z.Name)
-	}
 	if !z.Contains(phys) {
 		return 0, fmt.Errorf("kalloc: %#x outside zone %s", phys, z.Name)
 	}
@@ -279,4 +266,4 @@ func (z *Zone) SubarrayKeyOf(phys int64) (addrmap.SubarrayKey, error) {
 
 // Buckets returns the number of (rank, bank, sub-array) buckets — 8K per
 // rank (paper Sec. 4.2.2).
-func (z *Zone) Buckets() int { return len(z.buckets) }
+func (z *Zone) Buckets() int { return z.ranks * addrmap.SubarraysPerRank }

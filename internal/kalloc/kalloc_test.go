@@ -1,6 +1,8 @@
 package kalloc
 
 import (
+	"fmt"
+	"math/rand/v2"
 	"testing"
 	"testing/quick"
 
@@ -14,8 +16,8 @@ func netZone(t *testing.T) *Zone {
 	return NewNetDIMMZone("NET_0", testBase, 16<<30)
 }
 
-func TestNormalZoneAllocFree(t *testing.T) {
-	z := NewNormalZone("normal", 0, 1<<20)
+func TestZoneAllocFreeRecycles(t *testing.T) {
+	z := netZone(t)
 	a, err := z.AllocPage()
 	if err != nil {
 		t.Fatal(err)
@@ -39,29 +41,43 @@ func TestNormalZoneAllocFree(t *testing.T) {
 	}
 }
 
-func TestNormalZoneExhaustion(t *testing.T) {
-	z := NewNormalZone("tiny", 0, 3*addrmap.PageSize)
-	for i := 0; i < 3; i++ {
+// Exhausting the smallest zone, one 8GB rank, covers Failures and the
+// no-hint scan past every full bucket.
+func TestZoneExhaustion(t *testing.T) {
+	z := NewNetDIMMZone("NET_0", testBase, addrmap.RankBytes)
+	pages := z.FreePages()
+	for i := int64(0); i < pages; i++ {
 		if _, err := z.AllocPage(); err != nil {
-			t.Fatal(err)
+			t.Fatalf("page %d of %d: %v", i, pages, err)
 		}
 	}
 	if _, err := z.AllocPage(); err == nil {
 		t.Fatal("exhausted zone allocated")
 	}
-	if z.Stats().Failures != 1 {
-		t.Fatalf("Failures = %d", z.Stats().Failures)
+	if z.FreePages() != 0 || z.Stats().Failures != 1 {
+		t.Fatalf("FreePages = %d, Failures = %d", z.FreePages(), z.Stats().Failures)
+	}
+	// A freed page in the last bucket is found again.
+	last := z.bucketPage(z.Buckets()-1, pagesPerBucket-1)
+	if err := z.FreePage(last); err != nil {
+		t.Fatal(err)
+	}
+	if p, err := z.AllocPage(); err != nil || p != last {
+		t.Fatalf("AllocPage = %#x, %v; want %#x", p, err, last)
 	}
 }
 
 func TestFreeErrors(t *testing.T) {
-	z := NewNormalZone("normal", 0, 1<<20)
+	z := netZone(t)
 	a, _ := z.AllocPage()
 	if err := z.FreePage(a + 1); err == nil {
 		t.Error("unaligned free accepted")
 	}
-	if err := z.FreePage(2 << 20); err == nil {
+	if err := z.FreePage(testBase - addrmap.PageSize); err == nil {
 		t.Error("foreign free accepted")
+	}
+	if err := z.FreePage(z.bucketPage(7, 3)); err == nil {
+		t.Error("free of a never-allocated page accepted")
 	}
 	if err := z.FreePage(a); err != nil {
 		t.Error(err)
@@ -253,10 +269,8 @@ func TestAllocCacheSlowPathAndRefill(t *testing.T) {
 	if slow != 1 {
 		t.Fatalf("slow = %d", slow)
 	}
-	// Background refill restores the fast path.
-	if err := c.Refill(); err != nil {
-		t.Fatal(err)
-	}
+	// A refill restores the fast path.
+	c.Refill()
 	_, fast, err = c.Get(app)
 	if err != nil || !fast {
 		t.Fatalf("post-refill Get fast=%v err=%v", fast, err)
@@ -287,20 +301,26 @@ func TestAllocCacheRelease(t *testing.T) {
 	}
 }
 
-func TestAllocCacheRequiresNetDIMMZone(t *testing.T) {
-	if _, err := NewAllocCache(NewNormalZone("n", 0, 1<<20), 2); err == nil {
-		t.Fatal("normal zone accepted")
-	}
-	if _, err := NewAllocCache(netZone(t), 0); err == nil {
+func TestNewAllocCacheErrors(t *testing.T) {
+	z := netZone(t)
+	if _, err := NewAllocCache(z, 0); err == nil {
 		t.Fatal("zero perSubarray accepted")
+	}
+	if _, err := NewAllocCache(z, 2); err != nil {
+		t.Fatal(err)
+	}
+	// A second cache on the same zone would reserve its pages twice.
+	if _, err := NewAllocCache(z, 2); err == nil {
+		t.Fatal("second allocCache on one zone accepted")
 	}
 }
 
 func TestZonePanicsOnBadGeometry(t *testing.T) {
 	cases := []func(){
-		func() { NewNormalZone("x", 1, 1<<20) },
-		func() { NewNormalZone("x", 0, 100) },
-		func() { NewNetDIMMZone("x", 0, 1<<20) }, // not a rank multiple
+		func() { NewNetDIMMZone("x", 1, addrmap.RankBytes) },   // unaligned base
+		func() { NewNetDIMMZone("x", 0, addrmap.RankBytes+1) }, // unaligned size
+		func() { NewNetDIMMZone("x", 0, 0) },                   // empty
+		func() { NewNetDIMMZone("x", 0, 1<<20) },               // not a rank multiple
 	}
 	for i, fn := range cases {
 		func() {
@@ -311,5 +331,377 @@ func TestZonePanicsOnBadGeometry(t *testing.T) {
 			}()
 			fn()
 		}()
+	}
+}
+
+// eagerZone and eagerCache are the reference model for the lazy allocator:
+// the zone with a dense bucket array and a whole-zone allocation bitmap,
+// and a cache that prefills every bucket at construction. The lazy zone
+// and cache must be indistinguishable from it through the public API.
+type eagerZone struct {
+	base, size int64
+	buckets    []eagerBucket
+	allocated  []uint64
+	allocCount int64
+	stats      ZoneStats
+}
+
+type eagerBucket struct {
+	fresh int
+	freed []int64
+}
+
+func newEagerZone(base, size int64) *eagerZone {
+	pages := size / addrmap.PageSize
+	return &eagerZone{
+		base: base, size: size,
+		buckets:   make([]eagerBucket, size/addrmap.RankBytes*addrmap.SubarraysPerRank),
+		allocated: make([]uint64, (pages+63)/64),
+	}
+}
+
+func (z *eagerZone) bit(addr int64) (int64, uint64) {
+	page := (addr - z.base) / addrmap.PageSize
+	return page / 64, 1 << uint(page%64)
+}
+
+func (z *eagerZone) allocFromBucket(key int) int64 {
+	b := &z.buckets[key]
+	if n := len(b.freed); n > 0 {
+		a := b.freed[n-1]
+		b.freed = b.freed[:n-1]
+		return a
+	}
+	if b.fresh >= pagesPerBucket {
+		return -1
+	}
+	b.fresh++
+	return (&Zone{Base: z.base}).bucketPage(key, b.fresh-1)
+}
+
+func (z *eagerZone) markAllocated(addr int64) {
+	w, m := z.bit(addr)
+	z.allocated[w] |= m
+	z.allocCount++
+	z.stats.Allocs++
+}
+
+func (z *eagerZone) AllocPageHint(hint int64) (int64, error) {
+	var addr int64 = -1
+	if hint != NoHint {
+		if hint < z.base || hint >= z.base+z.size {
+			return 0, fmt.Errorf("hint outside zone")
+		}
+		addr = z.allocFromBucket(int(addrmap.SubarrayOf(hint - z.base)))
+		if addr >= 0 {
+			z.stats.HintSatisfied++
+		} else {
+			z.stats.HintFallback++
+		}
+	}
+	for key := 0; addr < 0 && key < len(z.buckets); key++ {
+		addr = z.allocFromBucket(key)
+	}
+	if addr < 0 {
+		z.stats.Failures++
+		return 0, fmt.Errorf("zone exhausted")
+	}
+	z.markAllocated(addr)
+	return addr, nil
+}
+
+func (z *eagerZone) FreePage(addr int64) error {
+	if addr < z.base || addr >= z.base+z.size || addr%addrmap.PageSize != 0 {
+		return fmt.Errorf("bad free")
+	}
+	w, m := z.bit(addr)
+	if z.allocated[w]&m == 0 {
+		return fmt.Errorf("double free")
+	}
+	z.allocated[w] &^= m
+	z.allocCount--
+	z.stats.Frees++
+	b := &z.buckets[addrmap.SubarrayOf(addr-z.base)]
+	b.freed = append(b.freed, addr)
+	return nil
+}
+
+func (z *eagerZone) FreePages() int64 { return z.size/addrmap.PageSize - z.allocCount }
+
+type eagerCache struct {
+	zone       *eagerZone
+	per        int
+	cache      [][]int64
+	cursor     int
+	hits, slow uint64
+}
+
+func newEagerCache(z *eagerZone, per int) *eagerCache {
+	c := &eagerCache{zone: z, per: per, cache: make([][]int64, len(z.buckets))}
+	c.Refill()
+	return c
+}
+
+func (c *eagerCache) Refill() {
+	for key := range c.cache {
+		for len(c.cache[key]) < c.per {
+			a := c.zone.allocFromBucket(key)
+			if a < 0 {
+				break
+			}
+			c.zone.markAllocated(a)
+			c.cache[key] = append(c.cache[key], a)
+		}
+	}
+}
+
+func (c *eagerCache) pop(key int) (int64, bool) {
+	pages := c.cache[key]
+	if len(pages) == 0 {
+		return 0, false
+	}
+	c.cache[key] = pages[:len(pages)-1]
+	c.hits++
+	return pages[len(pages)-1], true
+}
+
+func (c *eagerCache) Get(hint int64) (int64, bool, error) {
+	if hint != NoHint {
+		if hint < c.zone.base || hint >= c.zone.base+c.zone.size {
+			return 0, false, fmt.Errorf("hint outside zone")
+		}
+		if a, ok := c.pop(int(addrmap.SubarrayOf(hint - c.zone.base))); ok {
+			return a, true, nil
+		}
+	} else {
+		n := len(c.cache)
+		for i := 0; i < n; i++ {
+			key := (c.cursor + i) % n
+			if a, ok := c.pop(key); ok {
+				c.cursor = (key + 1) % n
+				return a, true, nil
+			}
+		}
+	}
+	c.slow++
+	a, err := c.zone.AllocPageHint(hint)
+	return a, false, err
+}
+
+func (c *eagerCache) PinnedPages() int {
+	n := 0
+	for _, pages := range c.cache {
+		n += len(pages)
+	}
+	return n
+}
+
+// twin drives a lazy zone and cache and their eager reference in lockstep
+// and fails the test at the first step where they differ.
+type twin struct {
+	t     *testing.T
+	zone  *Zone
+	cache *AllocCache
+	ez    *eagerZone
+	ec    *eagerCache
+	step  int
+}
+
+func newTwin(t *testing.T, ranks int) *twin {
+	size := int64(ranks) * addrmap.RankBytes
+	return &twin{t: t, zone: NewNetDIMMZone("NET_0", testBase, size), ez: newEagerZone(testBase, size)}
+}
+
+func (w *twin) attach(per int) {
+	w.t.Helper()
+	c, err := NewAllocCache(w.zone, per)
+	if err != nil {
+		w.t.Fatal(err)
+	}
+	w.cache, w.ec = c, newEagerCache(w.ez, per)
+	w.check(true)
+}
+
+// result compares one operation's outcome.
+func (w *twin) result(op string, got, want int64, gotFast, wantFast bool, gotErr, wantErr error) int64 {
+	w.t.Helper()
+	w.step++
+	if got != want || gotFast != wantFast || (gotErr == nil) != (wantErr == nil) {
+		w.t.Fatalf("step %d %s: lazy (%#x, fast %v, err %v), eager (%#x, fast %v, err %v)",
+			w.step, op, got, gotFast, gotErr, want, wantFast, wantErr)
+	}
+	return got
+}
+
+func (w *twin) get(hint int64) int64 {
+	w.t.Helper()
+	a, f, err := w.cache.Get(hint)
+	ea, ef, eerr := w.ec.Get(hint)
+	return w.result("Get", a, ea, f, ef, err, eerr)
+}
+
+func (w *twin) alloc(hint int64) int64 {
+	w.t.Helper()
+	a, err := w.zone.AllocPageHint(hint)
+	ea, eerr := w.ez.AllocPageHint(hint)
+	return w.result("AllocPageHint", a, ea, false, false, err, eerr)
+}
+
+func (w *twin) free(addr int64) {
+	w.t.Helper()
+	w.result("FreePage", 0, 0, false, false, w.zone.FreePage(addr), w.ez.FreePage(addr))
+}
+
+func (w *twin) release(addr int64) {
+	w.t.Helper()
+	w.result("Release", 0, 0, false, false, w.cache.Release(addr), w.ez.FreePage(addr))
+}
+
+func (w *twin) refill() {
+	w.cache.Refill()
+	w.ec.Refill()
+}
+
+// check compares the counters; pinned also compares PinnedPages, which
+// the eager model computes in O(buckets).
+func (w *twin) check(pinned bool) {
+	w.t.Helper()
+	if w.zone.Stats() != w.ez.stats || w.zone.FreePages() != w.ez.FreePages() {
+		w.t.Fatalf("step %d: zone stats %+v free %d, eager %+v free %d",
+			w.step, w.zone.Stats(), w.zone.FreePages(), w.ez.stats, w.ez.FreePages())
+	}
+	if w.cache == nil {
+		return
+	}
+	h, s := w.cache.Stats()
+	if h != w.ec.hits || s != w.ec.slow {
+		w.t.Fatalf("step %d: cache stats %d/%d, eager %d/%d", w.step, h, s, w.ec.hits, w.ec.slow)
+	}
+	if pinned && w.cache.PinnedPages() != w.ec.PinnedPages() {
+		w.t.Fatalf("step %d: PinnedPages %d, eager %d", w.step, w.cache.PinnedPages(), w.ec.PinnedPages())
+	}
+}
+
+// TestLazyMatchesEager drives the lazy allocator and the eager reference
+// through the same random operations, zone allocations before the cache
+// attaches included, and requires identical addresses, fast flags,
+// errors and counters after every step.
+func TestLazyMatchesEager(t *testing.T) {
+	cases := []struct {
+		ranks, per, pre, steps int
+	}{
+		{2, 2, 0, 3000},
+		{2, 2, 300, 3000},
+		{1, 1, 600, 3000},
+		{1, 3, 50, 2000},
+		{1, pagesPerBucket + 1, 300, 300}, // more than a bucket holds
+	}
+	for i, tc := range cases {
+		t.Run(fmt.Sprintf("ranks%d_per%d_pre%d", tc.ranks, tc.per, tc.pre), func(t *testing.T) {
+			rng := rand.New(rand.NewPCG(uint64(i), 42))
+			w := newTwin(t, tc.ranks)
+			var live []int64
+			pages := w.zone.Size / addrmap.PageSize
+			// hint picks a live page, a random page, or a page in one of
+			// two hot buckets, which the run exhausts.
+			hint := func() int64 {
+				switch r := rng.IntN(4); {
+				case r == 0 && len(live) > 0:
+					return live[rng.IntN(len(live))]
+				case r == 1:
+					return w.zone.bucketPage(rng.IntN(2), rng.IntN(pagesPerBucket))
+				case r == 2:
+					return NoHint
+				}
+				return testBase + rng.Int64N(pages)*addrmap.PageSize
+			}
+			// victim picks a live page, or any page at all: freeing a page
+			// the cache still holds or one never allocated must behave the
+			// same in both.
+			victim := func() int64 {
+				if len(live) > 0 && rng.IntN(8) != 0 {
+					i := rng.IntN(len(live))
+					a := live[i]
+					live[i] = live[len(live)-1]
+					live = live[:len(live)-1]
+					return a
+				}
+				return w.zone.bucketPage(rng.IntN(w.zone.Buckets()), rng.IntN(4))
+			}
+			keep := func(a int64) {
+				if a != 0 {
+					live = append(live, a)
+				}
+			}
+			for s := 0; s < tc.pre; s++ {
+				if rng.IntN(3) == 0 {
+					w.free(victim())
+				} else {
+					keep(w.alloc(hint()))
+				}
+				w.check(false)
+			}
+			w.attach(tc.per)
+			for s := 0; s < tc.steps; s++ {
+				switch r := rng.IntN(20); {
+				case r < 7:
+					keep(w.get(hint()))
+				case r < 10:
+					keep(w.get(NoHint))
+				case r < 15:
+					w.release(victim())
+				case r < 17:
+					keep(w.alloc(hint()))
+				case r < 19:
+					w.free(victim())
+				default:
+					w.refill()
+				}
+				w.check(true)
+			}
+		})
+	}
+}
+
+// TestLazyMatchesEagerRX runs the NetDIMM RX allocator pattern (a no-hint
+// DMA buffer, a page in its sub-array for the clone, both released) until
+// the cache has long been drained, against the eager reference.
+func TestLazyMatchesEagerRX(t *testing.T) {
+	w := newTwin(t, 1)
+	w.attach(2)
+	const packets = 50_000
+	for p := 0; p < packets; p++ {
+		rx := w.get(NoHint)
+		skb := w.get(rx)
+		w.release(rx)
+		w.release(skb)
+		w.check(p%1000 == 0 || p == packets-1)
+	}
+	if w.cache.PinnedPages() != 0 {
+		t.Fatalf("PinnedPages = %d after %d packets, want a drained cache", w.cache.PinnedPages(), packets)
+	}
+}
+
+// TestZoneAndCacheBuildIndependentOfSize pins construction at O(1): a 64GB
+// zone and its cache cost the same allocations as a 16GB one.
+func TestZoneAndCacheBuildIndependentOfSize(t *testing.T) {
+	build := func(size int64) float64 {
+		return testing.AllocsPerRun(20, func() {
+			if _, err := NewAllocCache(NewNetDIMMZone("NET_0", testBase, size), 2); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if small, large := build(16<<30), build(64<<30); small != large {
+		t.Fatalf("allocs per build: 16GB %v, 64GB %v", small, large)
+	}
+}
+
+func BenchmarkNewNetDIMMZoneAndCache(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := NewAllocCache(NewNetDIMMZone("NET_0", testBase, 16<<30), 2); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -166,6 +166,9 @@ type Controller struct {
 	// request overlaps the current burst.
 	issueAt    sim.Time
 	pickQueued bool
+	// pickFn is c.pick bound once, so scheduling a pick allocates no
+	// method value.
+	pickFn func()
 
 	stats Stats
 
@@ -180,7 +183,9 @@ func New(eng *sim.Engine, cfg Config, backend Backend) *Controller {
 	if backend == nil {
 		panic("memctrl: nil backend")
 	}
-	return &Controller{eng: eng, cfg: cfg, backend: backend}
+	c := &Controller{eng: eng, cfg: cfg, backend: backend}
+	c.pickFn = c.pick
+	return c
 }
 
 // Stats returns a copy of the controller statistics.
@@ -240,7 +245,7 @@ func (c *Controller) schedulePick() {
 	if at < c.eng.Now() {
 		at = c.eng.Now()
 	}
-	c.eng.At(at, c.pick)
+	c.eng.At(at, c.pickFn)
 }
 
 // pick selects and issues one request per invocation (FR-FCFS with
