@@ -174,3 +174,21 @@ func BenchmarkOneWayPacket(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkLoadSweepShards times one large-host loadsweep (32 senders, one
+// load point, the three architectures back to back on one worker) at
+// shards=1, 2 and 4. It reports timings only:
+// TestLoadSweepShardedDeterminism checks that the results match.
+func BenchmarkLoadSweepShards(b *testing.B) {
+	fam, _ := LookupFamily("loadsweep")
+	for _, shards := range []int{1, 2, 4} {
+		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
+			axes := Axes{Packets: 400, Rates: []float64{0.14}, Hosts: 32, Shards: shards}
+			for i := 0; i < b.N; i++ {
+				if _, err := fam.Run(DefaultConfig(), 3, axes, 1); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -108,8 +108,10 @@ func TestCLIGoldens(t *testing.T) {
 
 // TestCLIRefusesUnsupportedOutputFlags pins that a single verb given
 // -csv, -trace or -metrics it cannot honour fails and names the verbs
-// that can, instead of silently dropping the flag.
+// that can, and that a word after the verb that the verb does not take
+// fails and is named, instead of either being silently dropped.
 func TestCLIRefusesUnsupportedOutputFlags(t *testing.T) {
+	outdir := t.TempDir()
 	cases := []struct {
 		args []string
 		want string
@@ -122,6 +124,15 @@ func TestCLIRefusesUnsupportedOutputFlags(t *testing.T) {
 		{[]string{"-metrics", "fig4"}, "fig4 does not support -metrics"},
 		{[]string{"-csv", "table1"}, "table1 does not support -csv (verbs that do: fig4, fig5, fig7, fig11, fig12a, fig12b, ablation, "},
 		{[]string{"-csv", "headline"}, "headline does not support -csv"},
+		{[]string{"fig4", "-csv"}, `fig4: unexpected "-csv" after the verb; flags go before it`},
+		{[]string{"fig4", "extra"}, `fig4: unexpected argument "extra"`},
+		{[]string{"table1", "a", "b"}, `table1: unexpected argument "a"`},
+		{[]string{"all", "extra"}, `all: unexpected argument "extra"`},
+		{[]string{"campaign", "-grid", "scenarios/campaign-default.json", "-outdir", outdir, "extra"},
+			`campaign: unexpected argument "extra"`},
+		{[]string{"replay"}, "replay: usage: netdimm-sim replay FILE"},
+		{[]string{"replay", "a.ndtr", "b.ndtr"}, `replay: unexpected argument "b.ndtr"`},
+		{[]string{"replay", "a.ndtr", "-csv"}, `replay: unexpected "-csv" after the verb; flags go before it`},
 	}
 	for _, tc := range cases {
 		_, stderr, err := runCLI(tc.args...)
@@ -130,6 +141,10 @@ func TestCLIRefusesUnsupportedOutputFlags(t *testing.T) {
 		} else if !strings.Contains(stderr, tc.want) {
 			t.Errorf("netdimm-sim %v: stderr %q does not contain %q", tc.args, stderr, tc.want)
 		}
+	}
+	// The refused campaign ran no cell.
+	if entries, err := os.ReadDir(outdir); err != nil || len(entries) != 0 {
+		t.Errorf("refused campaign left %v in its output dir (err %v)", entries, err)
 	}
 }
 
@@ -161,7 +176,7 @@ func TestFlagHelpListsHonouringVerbs(t *testing.T) {
 		if !verbs[name] {
 			t.Errorf("registry family %s has no CLI verb", name)
 		}
-		if !strings.Contains(help("csv"), " "+name+",") {
+		if h := help("csv"); !strings.Contains(h, " "+name+",") && !strings.Contains(h, " "+name+")") {
 			t.Errorf("-csv help does not list %s: %q", name, help("csv"))
 		}
 		for axis, flagName := range map[string]string{"Trace": "trace", "Metrics": "metrics", "Hosts": "hosts", "Shards": "shards", "Packets": "n"} {
@@ -171,7 +186,7 @@ func TestFlagHelpListsHonouringVerbs(t *testing.T) {
 			}
 		}
 	}
-	for flagName, verb := range map[string]string{"trace": "mixed", "metrics": "mixed", "n": "headline", "csv": "trajectory"} {
+	for flagName, verb := range map[string]string{"trace": "mixed", "metrics": "mixed", "n": "headline"} {
 		if !strings.Contains(help(flagName), verb) {
 			t.Errorf("-%s help does not list %s: %q", flagName, verb, help(flagName))
 		}

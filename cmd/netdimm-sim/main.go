@@ -7,11 +7,12 @@
 //
 // Experiments: table1, fig4, fig5, fig7, fig11, fig12a, fig12b, bandwidth,
 // ablation, mixed, replay, faultsweep, loadsweep, racksweep, failsweep,
-// collsweep, headline, bench, campaign, trajectory, all. Every experiment
-// family of the netdimm registry is a verb here: its axes come from the
-// flags, and -csv prints its registry CSV. The -scenario flag selects the
-// simulated system: a named preset (table1, ddr5, pcie-gen3, lossy-1pct)
-// or a JSON config file.
+// collsweep, headline, campaign, all. Every experiment family of the
+// netdimm registry is a verb here: its axes come from the flags, and -csv
+// prints its registry CSV. The -scenario flag selects the simulated
+// system: a named preset (table1, ddr5, pcie-gen3, lossy-1pct) or a JSON
+// config file. Flags go before the verb; only replay takes a word after
+// it (its trace file), and campaign its own -grid and -outdir.
 package main
 
 import (
@@ -214,11 +215,7 @@ var commands = []command{
 	familyCommand("failsweep", false, textFailSweep),
 	familyCommand("collsweep", false, textCollSweep),
 	{name: "headline", help: "the abstract's summary numbers", inAll: true, flags: []string{"n"}, run: runHeadline},
-	{name: "bench", help: "machine-readable benchmark report (JSON; see -n)", flags: []string{"n"},
-		run: func(netdimm.Config) error { return runBench() }},
 	{name: "campaign", help: "run a grid of experiments from -grid FILE into a timestamped output dir", run: runCampaign},
-	{name: "trajectory", help: "perf history across BENCH_*.json reports, with -gate regression check",
-		flags: []string{"csv"}, run: runTrajectory},
 }
 
 // familyCommand binds a registry family to its text table.
@@ -276,10 +273,6 @@ func init() {
 	}
 }
 
-// subArgs holds the positional arguments that follow a subcommand verb
-// (the bench report paths of `trajectory`), after its flags are parsed.
-var subArgs []string
-
 func main() {
 	flag.Usage = usage
 	flag.Parse()
@@ -287,24 +280,16 @@ func main() {
 		usage()
 		os.Exit(2)
 	}
-	exp := flag.Arg(0)
-	rest := flag.Args()[1:]
-	switch exp {
-	case "campaign", "trajectory":
-		// These verbs take flags after the verb (`campaign -grid FILE`), so
-		// re-parse the remainder; what is left over is the verb's own
-		// positional arguments.
-		flag.CommandLine.Parse(rest)
-		subArgs = flag.Args()
-	default:
-		if len(rest) > 1 {
-			usage()
-			os.Exit(2)
-		}
+	exp, args := flag.Arg(0), flag.Args()[1:]
+	if exp == "campaign" {
+		// campaign takes its flags after the verb (`campaign -grid FILE`),
+		// so re-parse the remainder.
+		flag.CommandLine.Parse(args)
+		args = flag.Args()
 	}
 	cfg, err := netdimm.LoadScenario(*scenario)
 	if err == nil {
-		err = run(cfg, exp)
+		err = run(cfg, exp, args)
 	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "netdimm-sim: %v\n", err)
@@ -323,7 +308,32 @@ func usage() {
 	flag.PrintDefaults()
 }
 
-func run(cfg netdimm.Config, exp string) error {
+// checkArgs refuses the words after the verb that it does not take:
+// replay takes exactly one, its trace file; every other verb none.
+func checkArgs(exp string, args []string) error {
+	if exp == "replay" {
+		if len(args) == 0 {
+			return fmt.Errorf("replay: usage: netdimm-sim replay FILE")
+		}
+		args = args[1:]
+	}
+	if len(args) == 0 {
+		return nil
+	}
+	if strings.HasPrefix(args[0], "-") && exp != "campaign" {
+		return fmt.Errorf("%s: unexpected %q after the verb; flags go before it: netdimm-sim [flags] %s", exp, args[0], exp)
+	}
+	return fmt.Errorf("%s: unexpected argument %q", exp, args[0])
+}
+
+func run(cfg netdimm.Config, exp string, args []string) error {
+	i := slices.IndexFunc(commands, func(c command) bool { return c.name == exp })
+	if i < 0 && exp != "all" {
+		return fmt.Errorf("unknown experiment %q", exp)
+	}
+	if err := checkArgs(exp, args); err != nil {
+		return err
+	}
 	if exp == "all" {
 		first := true
 		for _, c := range commands {
@@ -340,22 +350,17 @@ func run(cfg netdimm.Config, exp string) error {
 		}
 		return nil
 	}
-	for _, c := range commands {
-		if c.name != exp {
-			continue
+	// A single verb refuses an output flag it cannot honour; `all` applies
+	// each to the verbs that can.
+	c := commands[i]
+	given := map[string]bool{"csv": *asCSV, "trace": *traceOut != "", "metrics": *metrics}
+	for _, name := range []string{"csv", "trace", "metrics"} {
+		if given[name] && !slices.Contains(c.flags, name) {
+			return fmt.Errorf("%s does not support -%s (verbs that do: %s)",
+				exp, name, strings.Join(verbsHonouring(name), ", "))
 		}
-		// A single verb refuses an output flag it cannot honour; `all`
-		// applies each to the verbs that can.
-		given := map[string]bool{"csv": *asCSV, "trace": *traceOut != "", "metrics": *metrics}
-		for _, name := range []string{"csv", "trace", "metrics"} {
-			if given[name] && !slices.Contains(c.flags, name) {
-				return fmt.Errorf("%s does not support -%s (verbs that do: %s)",
-					exp, name, strings.Join(verbsHonouring(name), ", "))
-			}
-		}
-		return c.run(cfg)
 	}
-	return fmt.Errorf("unknown experiment %q", exp)
+	return c.run(cfg)
 }
 
 func textFig4(out netdimm.FamilyRun) {
@@ -484,10 +489,9 @@ func runMixed(cfg netdimm.Config) error {
 	return emitObservation(ob)
 }
 
+// runReplayArg replays the trace file named after the verb (checkArgs
+// has made sure there is exactly one).
 func runReplayArg(cfg netdimm.Config) error {
-	if flag.NArg() != 2 {
-		return fmt.Errorf("replay: usage: netdimm-sim replay FILE")
-	}
 	path := flag.Arg(1)
 	f, err := os.Open(path)
 	if err != nil {

@@ -1,7 +1,6 @@
 // Package campaign is the reproducible experiment-campaign harness: it
 // turns a declarative grid — experiments × scenarios × repeats — into one
-// validated, versioned output directory, and tracks the repository's
-// performance trajectory across the checked-in BENCH_*.json history.
+// validated, versioned output directory.
 //
 // A campaign grid is a JSON document (see Grid) naming which experiment
 // families to run, under which scenarios, how many independent repeats of
@@ -24,13 +23,6 @@
 // yields byte-identical csv/ and metrics/ contents at any parallelism (the
 // manifest and log record wall times and may differ). CI pins this by
 // running the default grid twice and diffing the directories.
-//
-// trajectory.go is the second half of the harness: it loads the
-// BENCH_seed.json → BENCH_pr<N>.json history (tolerating files that
-// predate the git-revision/timestamp stamps), renders the engine ns/op,
-// allocs/op and per-sweep wall-time trajectory as CSV and markdown, and
-// computes regression verdicts against the best entry in history — the
-// gate the bench-compare CI job enforces.
 package campaign
 
 import (

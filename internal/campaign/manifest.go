@@ -9,9 +9,7 @@ import (
 	"strings"
 )
 
-// Host identifies the machine a campaign or bench report ran on. The JSON
-// field names match the BENCH_*.json host block so the two artifact
-// families stay cross-readable.
+// Host identifies the machine a campaign ran on.
 type Host struct {
 	GOOS       string `json:"goos"`
 	GOARCH     string `json:"goarch"`
